@@ -32,6 +32,6 @@ int main() {
       "edges\n",
       ctx.pipeline->kb().num_articles(), ctx.pipeline->kb().num_categories(),
       ctx.pipeline->kb().num_redirects(),
-      ctx.pipeline->kb().graph().num_edges());
+      ctx.pipeline->kb().csr().num_edges());
   return 0;
 }

@@ -57,10 +57,6 @@ struct BallConfig {
   uint32_t max_length = 5;
 };
 
-NodeId AddArticle(PropertyGraph* g, const std::string& label) {
-  return g->AddNode(NodeKind::kArticle, label);
-}
-
 /// Dense K_core behind a hub that also carries `chains` pendant chains of
 /// three articles each: pure peeling overhead for every DFS through the
 /// hub's row.
@@ -69,22 +65,21 @@ BallConfig HubPendants(uint32_t core, uint32_t chains) {
   cfg.name = "hub_pendants";
   cfg.max_length = 4;
   for (uint32_t i = 0; i < core; ++i) {
-    AddArticle(&cfg.g, "core" + std::to_string(i));
+    cfg.g.AddNode(NodeKind::kArticle);
   }
   for (uint32_t i = 0; i < core; ++i) {
     for (uint32_t j = i + 1; j < core; ++j) {
       WQE_CHECK_OK(cfg.g.AddEdge(i, j, EdgeKind::kLink));
     }
   }
-  const NodeId hub = AddArticle(&cfg.g, "hub");
+  const NodeId hub = cfg.g.AddNode(NodeKind::kArticle);
   for (uint32_t i = 0; i < core; ++i) {
     WQE_CHECK_OK(cfg.g.AddEdge(i, hub, EdgeKind::kLink));
   }
   for (uint32_t c = 0; c < chains; ++c) {
     NodeId prev = hub;
     for (int hop = 0; hop < 3; ++hop) {
-      NodeId leaf = AddArticle(
-          &cfg.g, "p" + std::to_string(c) + "_" + std::to_string(hop));
+      NodeId leaf = cfg.g.AddNode(NodeKind::kArticle);
       WQE_CHECK_OK(cfg.g.AddEdge(prev, leaf, EdgeKind::kLink));
       prev = leaf;
     }
@@ -100,15 +95,15 @@ BallConfig TwoHopShell(uint32_t spokes, uint32_t shell) {
   BallConfig cfg;
   cfg.name = "two_hop_shell";
   cfg.max_length = 3;
-  const NodeId s = AddArticle(&cfg.g, "seed");
+  const NodeId s = cfg.g.AddNode(NodeKind::kArticle);
   for (uint32_t i = 0; i < spokes; ++i) {
-    NodeId a = AddArticle(&cfg.g, "spoke" + std::to_string(i));
+    NodeId a = cfg.g.AddNode(NodeKind::kArticle);
     WQE_CHECK_OK(cfg.g.AddEdge(s, a, EdgeKind::kLink));
     if (i > 0) WQE_CHECK_OK(cfg.g.AddEdge(a - 1, a, EdgeKind::kLink));
   }
-  const NodeId shell_base = AddArticle(&cfg.g, "shell0");
+  const NodeId shell_base = cfg.g.AddNode(NodeKind::kArticle);
   for (uint32_t i = 1; i < shell; ++i) {
-    AddArticle(&cfg.g, "shell" + std::to_string(i));
+    cfg.g.AddNode(NodeKind::kArticle);
   }
   for (uint32_t i = 0; i < shell; ++i) {
     for (uint32_t j = i + 1; j < shell; ++j) {
@@ -136,10 +131,10 @@ BallConfig ZipfPendants(uint64_t seed, uint32_t articles, uint32_t categories,
   cfg.max_length = 5;
   Rng rng(seed);
   for (uint32_t i = 0; i < articles; ++i) {
-    AddArticle(&cfg.g, "a" + std::to_string(i));
+    cfg.g.AddNode(NodeKind::kArticle);
   }
   for (uint32_t i = 0; i < categories; ++i) {
-    cfg.g.AddNode(NodeKind::kCategory, "c" + std::to_string(i));
+    cfg.g.AddNode(NodeKind::kCategory);
   }
   const uint32_t n = articles + categories;
   for (uint32_t e = 0; e < edges; ++e) {
@@ -158,8 +153,7 @@ BallConfig ZipfPendants(uint64_t seed, uint32_t articles, uint32_t categories,
   for (uint32_t anchor = 0; anchor < n; anchor += 2) {
     NodeId prev = anchor;
     for (int hop = 0; hop < 3; ++hop) {
-      NodeId leaf = AddArticle(&cfg.g, "p" + std::to_string(anchor) + "_" +
-                                           std::to_string(hop));
+      NodeId leaf = cfg.g.AddNode(NodeKind::kArticle);
       if (cfg.g.IsArticle(prev)) {
         WQE_CHECK_OK(cfg.g.AddEdge(prev, leaf, EdgeKind::kLink));
       } else {

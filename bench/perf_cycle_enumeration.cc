@@ -48,18 +48,28 @@ namespace {
 
 using namespace wqe;
 
-const wiki::SyntheticWikipedia& SharedWiki() {
-  static const wiki::SyntheticWikipedia* kWiki = [] {
+struct SharedKb {
+  wiki::SyntheticWikipedia wiki;
+  /// Builder adjacency copied before `Freeze()` releases it; read only by
+  /// the seed-era replica and the freeze-cost benchmark.
+  graph::PropertyGraph builder;
+};
+
+const SharedKb& Shared() {
+  static const SharedKb* kShared = [] {
     wiki::SyntheticWikipediaOptions options;
     options.num_domains = 50;
     auto result = wiki::GenerateSyntheticWikipedia(options);
     WQE_CHECK_OK(result.status());
-    auto* wiki = new wiki::SyntheticWikipedia(std::move(result).ValueOrDie());
-    wiki->kb.Freeze();  // one snapshot shared by every benchmark
-    return wiki;
+    auto* shared = new SharedKb{std::move(result).ValueOrDie(), {}};
+    shared->builder = shared->wiki.kb.graph();
+    shared->wiki.kb.Freeze();  // one snapshot shared by every benchmark
+    return shared;
   }();
-  return *kWiki;
+  return *kShared;
 }
+
+const wiki::SyntheticWikipedia& SharedWiki() { return Shared().wiki; }
 
 /// One workload definition shared by the CSR and legacy variants — the
 /// speedup_vs_legacy records are only meaningful on identical input.
@@ -221,10 +231,9 @@ BENCHMARK(BM_CycleEnumerationBall)
 
 /// The identical workload on the seed-era representation.
 void BM_CycleEnumerationBallLegacy(benchmark::State& state) {
-  const auto& wiki = SharedWiki();
   uint32_t max_length = static_cast<uint32_t>(state.range(0));
   BallWorkload workload = SharedBall(static_cast<size_t>(state.range(1)));
-  LegacyView view(wiki.kb.graph(), workload.ball);
+  LegacyView view(Shared().builder, workload.ball);
   LegacyDfs dfs;
   dfs.view = &view;
   dfs.max_length = max_length;
@@ -328,10 +337,9 @@ BENCHMARK(BM_UndirectedViewBuild)->Arg(100)->Arg(400)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_UndirectedViewBuildLegacy(benchmark::State& state) {
-  const auto& wiki = SharedWiki();
   BallWorkload workload = SharedBall(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    LegacyView view(wiki.kb.graph(), workload.ball);
+    LegacyView view(Shared().builder, workload.ball);
     benchmark::DoNotOptimize(view.global.size());
   }
 }
@@ -341,15 +349,13 @@ BENCHMARK(BM_UndirectedViewBuildLegacy)->Arg(100)->Arg(400)
 
 /// One-off snapshot compilation cost (paid once per KB build).
 void BM_CsrFreeze(benchmark::State& state) {
-  const auto& wiki = SharedWiki();
+  const graph::PropertyGraph& builder = Shared().builder;
   for (auto _ : state) {
-    graph::CsrGraph csr = graph::CsrGraph::Freeze(wiki.kb.graph());
+    graph::CsrGraph csr = graph::CsrGraph::Freeze(builder);
     benchmark::DoNotOptimize(csr.num_edges());
   }
-  state.counters["nodes"] =
-      static_cast<double>(wiki.kb.graph().num_nodes());
-  state.counters["edges"] =
-      static_cast<double>(wiki.kb.graph().num_edges());
+  state.counters["nodes"] = static_cast<double>(builder.num_nodes());
+  state.counters["edges"] = static_cast<double>(builder.num_edges());
 }
 
 BENCHMARK(BM_CsrFreeze)->Unit(benchmark::kMillisecond);

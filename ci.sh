@@ -8,6 +8,7 @@
 #   ./ci.sh asan    — ASan+UBSan (non-recoverable) over the full ctest suite
 #   ./ci.sh faults  — fault-injection chaos suite, Debug then TSan
 #   ./ci.sh tidy    — clang-tidy gate over src/ (skips if not installed)
+#   ./ci.sh perfbench — serving benchmark self-test (perfbench/selftest.py)
 #   ./ci.sh all     — every lane above, in that order (the default)
 #
 # Mirrors .github/workflows/ci.yml, whose jobs call these same lanes.
@@ -164,6 +165,18 @@ run_tidy() {
   set +x
 }
 
+# Serving-benchmark self-test: builds perfbench/ (Release, against the
+# library sources in this checkout), runs every BENCHMARK.json workload
+# briefly with and without tracing, checks each metric is reported by
+# name and unit, and checks a corrupted reference fails the run.  This is
+# the only lane that compiles perfbench/, which links the KB and serving
+# API, so an API change that breaks the benchmark fails here.
+run_perfbench() {
+  set -x
+  python3 perfbench/selftest.py
+  set +x
+}
+
 lane="${1:-all}"
 case "$lane" in
   tier1) run_tier1 ;;
@@ -172,6 +185,7 @@ case "$lane" in
   asan)  run_asan ;;
   faults) run_faults ;;
   tidy)  run_tidy ;;
+  perfbench) run_perfbench ;;
   all)
     run_tier1
     run_bench
@@ -179,9 +193,10 @@ case "$lane" in
     run_asan
     run_faults
     run_tidy
+    run_perfbench
     ;;
   *)
-    echo "usage: $0 [tier1|bench|tsan|asan|faults|tidy|all]" >&2
+    echo "usage: $0 [tier1|bench|tsan|asan|faults|tidy|perfbench|all]" >&2
     exit 2
     ;;
 esac

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < r.cycle.nodes.size(); ++i) {
         graph::NodeId n = r.cycle.nodes[i];
         if (i > 0) std::cout << " - ";
-        std::cout << (kb.graph().IsCategory(n) ? "c:" : "")
+        std::cout << (kb.csr().IsCategory(n) ? "c:" : "")
                   << kb.display_title(n);
       }
       std::printf(")  cat-ratio %.2f, density %.2f, contribution %+.1f\n",

@@ -226,7 +226,7 @@ Result<ArticleFrequencyReport> ComputeArticleFrequencyCorrelation(
     std::unordered_map<graph::NodeId, uint32_t> frequency;
     for (const CycleRecord& r : a.cycles) {
       for (graph::NodeId n : r.cycle.nodes) {
-        if (!pipeline.kb().graph().IsArticle(n)) continue;
+        if (!pipeline.kb().csr().IsArticle(n)) continue;
         if (std::find(entry.query_articles.begin(),
                       entry.query_articles.end(),
                       n) != entry.query_articles.end()) {

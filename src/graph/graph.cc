@@ -30,10 +30,9 @@ const char* EdgeKindToString(EdgeKind kind) {
   return "?";
 }
 
-NodeId PropertyGraph::AddNode(NodeKind kind, std::string label) {
+NodeId PropertyGraph::AddNode(NodeKind kind) {
   NodeId id = static_cast<NodeId>(kinds_.size());
   kinds_.push_back(kind);
-  labels_.push_back(std::move(label));
   out_.emplace_back();
   in_.emplace_back();
   return id;
@@ -51,8 +50,7 @@ Status PropertyGraph::AddEdge(NodeId src, NodeId dst, EdgeKind kind) {
   WQE_RETURN_NOT_OK(CheckNode(src));
   WQE_RETURN_NOT_OK(CheckNode(dst));
   if (src == dst) {
-    return Status::InvalidArgument("self-loop on node ", src, " (",
-                                   labels_[src], ")");
+    return Status::InvalidArgument("self-loop on node ", src);
   }
   // Schema validation per Figure 1.
   auto bad_schema = [&]() {

@@ -1,5 +1,6 @@
 #include "wiki/dump.h"
 
+#include <span>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -252,7 +253,7 @@ std::string WriteDump(const KnowledgeBase& kb) {
   w.StartElement("mediawiki");
   w.WriteAttribute("version", "0.10");
 
-  const graph::PropertyGraph& g = kb.graph();
+  const graph::CsrGraph& g = kb.csr();
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     bool is_category = g.IsCategory(n);
     bool is_redirect = kb.IsRedirect(n);
@@ -275,14 +276,16 @@ std::string WriteDump(const KnowledgeBase& kb) {
       text = "#REDIRECT [[" +
              kb.display_title(kb.ResolveRedirect(n)) + "]]";
     } else {
-      for (const graph::Edge& e : g.OutEdges(n)) {
-        switch (e.kind) {
+      std::span<const NodeId> targets = g.OutTargets(n);
+      std::span<const graph::EdgeKind> kinds = g.OutKinds(n);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        switch (kinds[i]) {
           case graph::EdgeKind::kLink:
-            text += "[[" + kb.display_title(e.dst) + "]] ";
+            text += "[[" + kb.display_title(targets[i]) + "]] ";
             break;
           case graph::EdgeKind::kBelongs:
           case graph::EdgeKind::kInside:
-            text += "[[Category:" + kb.display_title(e.dst) + "]] ";
+            text += "[[Category:" + kb.display_title(targets[i]) + "]] ";
             break;
           case graph::EdgeKind::kRedirect:
             break;

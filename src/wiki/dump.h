@@ -65,9 +65,10 @@ struct DumpImportStats {
 Result<KnowledgeBase> ParseDump(std::string_view xml,
                                 DumpImportStats* stats = nullptr);
 
-/// \brief Serializes `kb` as MediaWiki dump XML.  Article wikitext is
-/// synthesized from the out-edges (`[[link]]`, `[[Category:…]]`,
-/// `#REDIRECT [[…]]`), so ParseDump(WriteDump(kb)) reconstructs the graph.
+/// \brief Serializes a frozen `kb` (built or snapshot-loaded) as MediaWiki
+/// dump XML.  Article wikitext is synthesized from the CSR out-rows
+/// (`[[link]]`, `[[Category:…]]`, `#REDIRECT [[…]]`), so
+/// ParseDump(WriteDump(kb)) reconstructs the graph.
 std::string WriteDump(const KnowledgeBase& kb);
 
 }  // namespace wqe::wiki

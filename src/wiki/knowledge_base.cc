@@ -23,9 +23,15 @@ Status KnowledgeBase::CheckMutable() const {
 const graph::CsrGraph& KnowledgeBase::Freeze() {
   if (!frozen_) {
     csr_ = graph::CsrGraph::Freeze(graph_);
+    graph_ = graph::PropertyGraph();  // one graph after Freeze: the CSR
     frozen_ = true;
   }
   return csr_;
+}
+
+const graph::PropertyGraph& KnowledgeBase::graph() const {
+  WQE_CHECK(!frozen_);  // Freeze() released the builder; read csr()
+  return graph_;
 }
 
 const graph::CsrGraph& KnowledgeBase::csr() const {
@@ -44,32 +50,45 @@ Result<KnowledgeBase> KnowledgeBase::FromSnapshot(
         display_titles.size(), " display titles for ", n, " nodes");
   }
   const graph::CsrSections sections = csr.Sections();
-  if (num_articles + num_redirects != sections.node_kind_counts[0] ||
-      num_categories != sections.node_kind_counts[1]) {
+  // Count the split from the node arrays themselves: the meta counts (the
+  // graph's cached node-kind counts included) are untrusted and could wrap
+  // if summed, so they are only ever compared.
+  size_t graph_articles = 0, graph_redirects = 0, graph_categories = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    if (sections.kinds[u] == graph::NodeKind::kCategory) {
+      ++graph_categories;
+    } else if (sections.redirect_target[u] != graph::kInvalidNode) {
+      ++graph_redirects;
+    } else {
+      ++graph_articles;
+    }
+  }
+  if (num_articles != graph_articles || num_redirects != graph_redirects ||
+      num_categories != graph_categories ||
+      sections.node_kind_counts[0] != graph_articles + graph_redirects ||
+      sections.node_kind_counts[1] != graph_categories) {
     return Status::InvalidArgument(
-        "snapshot entity counts (", num_articles, " articles + ",
+        "snapshot entity counts (", num_articles, " articles, ",
         num_redirects, " redirects, ", num_categories,
-        " categories) disagree with the graph's node kinds (",
-        sections.node_kind_counts[0], " articles, ",
-        sections.node_kind_counts[1], " categories)");
+        " categories) disagree with the graph (", graph_articles,
+        " articles, ", graph_redirects, " redirects, ", graph_categories,
+        " categories)");
   }
   KnowledgeBase kb;
   kb.csr_ = std::move(csr);
   kb.frozen_ = true;
-  kb.loaded_ = true;
   kb.num_articles_ = num_articles;
   kb.num_redirects_ = num_redirects;
   kb.num_categories_ = num_categories;
+  kb.labels_ = std::move(labels);
   kb.display_titles_ = std::move(display_titles);
-  kb.loaded_labels_ = std::move(labels);
   // Rebuild the title index exactly as the builder populated it: the raw
   // label for articles, "category:"-prefixed for categories.
   kb.title_index_.reserve(n);
   for (NodeId u = 0; u < n; ++u) {
-    std::string key =
-        kb.csr_.IsCategory(u)
-            ? std::string(kCategoryPrefix) + kb.loaded_labels_[u]
-            : kb.loaded_labels_[u];
+    std::string key = kb.csr_.IsCategory(u)
+                          ? std::string(kCategoryPrefix) + kb.labels_[u]
+                          : kb.labels_[u];
     auto [it, inserted] = kb.title_index_.emplace(std::move(key), u);
     if (!inserted) {
       return Status::InvalidArgument("snapshot title '", it->first,
@@ -95,11 +114,10 @@ Result<NodeId> KnowledgeBase::AddEntry(graph::NodeKind kind,
     return Status::AlreadyExists("title '", key, "' already exists as node ",
                                  it->second);
   }
-  NodeId id = graph_.AddNode(kind, std::string(
-                                        kind == graph::NodeKind::kCategory
-                                            ? index_key.substr(
-                                                  kCategoryPrefix.size())
-                                            : index_key));
+  NodeId id = graph_.AddNode(kind);
+  labels_.emplace_back(kind == graph::NodeKind::kCategory
+                           ? index_key.substr(kCategoryPrefix.size())
+                           : index_key);
   display_titles_.emplace_back(title);
   title_index_.emplace(std::move(key), id);
   return id;
@@ -338,49 +356,14 @@ std::vector<NodeId> KnowledgeBase::Neighborhood(
 }
 
 Status KnowledgeBase::Validate() const {
-  if (frozen_) {
-    // CSR path: the only one available in loaded mode, and equivalent to
-    // the builder path once frozen (Freeze preserves all edges).
-    for (NodeId n = 0; n < csr_.num_nodes(); ++n) {
-      if (!csr_.IsArticle(n)) continue;
-      if (csr_.RedirectTarget(n) != graph::kInvalidNode) {
-        if (csr_.OutDegree(n) != 1) {
-          return Status::Internal("redirect '", title(n),
-                                  "' has extra out-edges");
-        }
-        continue;
-      }
-      bool has_category = false;
-      for (graph::EdgeKind kind : csr_.OutKinds(n)) {
-        if (kind == graph::EdgeKind::kBelongs) {
-          has_category = true;
-          break;
-        }
-      }
-      if (!has_category) {
-        return Status::Internal("article '", title(n),
-                                "' belongs to no category");
-      }
-    }
-    return Status::OK();
-  }
-  for (NodeId n = 0; n < graph_.num_nodes(); ++n) {
-    if (!graph_.IsArticle(n)) continue;
+  for (NodeId n = 0; n < labels_.size(); ++n) {
+    if (!IsArticleNode(n)) continue;
     if (IsRedirect(n)) {
-      if (graph_.OutDegree(n) != 1) {
+      if ((frozen_ ? csr_.OutDegree(n) : graph_.OutDegree(n)) != 1) {
         return Status::Internal("redirect '", title(n),
                                 "' has extra out-edges");
       }
-      continue;
-    }
-    bool has_category = false;
-    for (const graph::Edge& e : graph_.OutEdges(n)) {
-      if (e.kind == graph::EdgeKind::kBelongs) {
-        has_category = true;
-        break;
-      }
-    }
-    if (!has_category) {
+    } else if (CategoriesOf(n).empty()) {
       return Status::Internal("article '", title(n),
                               "' belongs to no category");
     }

@@ -3,28 +3,27 @@
 /// \file knowledge_base.h
 /// \brief The Wikipedia knowledge base: typed graph + title index.
 ///
-/// Wraps a `graph::PropertyGraph` with the Wikipedia-specific services the
-/// paper's pipeline needs: title lookup for entity linking (§2.1), redirect
-/// resolution and redirect-derived synonyms, and category/link
-/// neighborhoods for query-graph assembly (§2.3).
+/// Holds the Wikipedia graph with the services the paper's pipeline
+/// needs: title lookup for entity linking (§2.1), redirect resolution and
+/// redirect-derived synonyms, and category/link neighborhoods for
+/// query-graph assembly (§2.3).
 ///
 /// Titles are stored normalized (lowercase, collapsed whitespace — see
 /// `NormalizeTitle`); the display title is kept separately for output.
+/// Both live in the KB itself, one per node id, in every state.
 ///
-/// Lifecycle: the KB is a *builder* until `Freeze()` is called, which
-/// compiles the property graph into an immutable `graph::CsrGraph`
-/// snapshot (see graph/csr.h).  Freezing is the one-way bridge — any
-/// mutation afterwards fails — so the snapshot can be shared read-only
-/// across every serving thread.  All structural reads (redirect
-/// resolution, neighborhoods, link/category scans) take the flat CSR fast
-/// path once frozen.
+/// Lifecycle: the KB is a *builder* until `Freeze()` is called.  While
+/// building, edges go into a mutable `graph::PropertyGraph`, readable via
+/// the builder-only `graph()`.  `Freeze()` compiles it into an immutable
+/// `graph::CsrGraph` (see graph/csr.h) and releases the builder, so a
+/// frozen KB holds exactly one graph: the CSR.  Freezing is one-way — any
+/// mutation afterwards fails, and `graph()` is refused — so the CSR can be
+/// shared read-only across every serving thread.
 ///
-/// A KB can also come up *loaded*: `FromSnapshot` reconstitutes a frozen
-/// KB from an on-disk snapshot (see snapshot/reader.h) without ever
-/// running the builder.  A loaded KB serves identically to a frozen one —
-/// same CSR, same titles, same index — but its `graph()` is empty (the
-/// builder edge lists are not serialized; nothing on the serving path
-/// reads them once frozen).
+/// `FromSnapshot` reconstitutes a frozen KB from an on-disk snapshot (see
+/// snapshot/reader.h) without running the builder.  The result is the
+/// same object a built-and-frozen KB is: same CSR, titles and index, and
+/// every reader behaves identically on both.
 
 #include <optional>
 #include <string>
@@ -76,9 +75,12 @@ class KnowledgeBase {
   /// `snapshot::Reader` path).  `labels`/`display_titles` are per-node,
   /// parallel to `csr`'s node ids; the counts are the KB-level entity
   /// tallies from the snapshot's meta section.  Rebuilds the title index
-  /// (O(V)) and cross-checks the counts against the graph's node-kind
-  /// tallies — inconsistencies (duplicate titles, count drift) come back
-  /// as a `Status`, since they indicate a corrupt or hand-rolled file.
+  /// (O(V)) and cross-checks the counts, and the graph's cached node-kind
+  /// counts, against a walk of its node kinds and redirect table:
+  /// category nodes, article nodes with a redirect target, and the
+  /// article nodes left over.  Inconsistencies
+  /// (duplicate titles, count drift) come back as a `Status`, since they
+  /// indicate a corrupt or hand-rolled file.
   static Result<KnowledgeBase> FromSnapshot(
       graph::CsrGraph csr, std::vector<std::string> labels,
       std::vector<std::string> display_titles, size_t num_articles,
@@ -115,9 +117,7 @@ class KnowledgeBase {
   std::vector<NodeId> RedirectsOf(NodeId main) const;
 
   /// \brief Normalized title of a node.
-  const std::string& title(NodeId node) const {
-    return loaded_ ? loaded_labels_[node] : graph_.label(node);
-  }
+  const std::string& title(NodeId node) const { return labels_[node]; }
 
   /// \brief Display title (original casing/punctuation).
   const std::string& display_title(NodeId node) const {
@@ -137,18 +137,19 @@ class KnowledgeBase {
   /// \name Graph access
   /// @{
 
-  /// \brief The builder graph.  Empty when the KB was loaded from a
-  /// snapshot (`loaded()`) — serving reads go through `csr()` instead.
-  const graph::PropertyGraph& graph() const { return graph_; }
+  /// \brief The builder graph; `Freeze()` must *not* have been called
+  /// (it releases the builder — read `csr()` afterwards).
+  const graph::PropertyGraph& graph() const;
   size_t num_articles() const { return num_articles_; }
   size_t num_redirects() const { return num_redirects_; }
   size_t num_categories() const { return num_categories_; }
 
   /// \brief One-way bridge from builder to serving: compiles the frozen
-  /// `CsrGraph` snapshot.  Idempotent; after the first call every `Add*`
-  /// mutator fails with InvalidArgument.  Called by `api::Engine::Build`
-  /// (and `groundtruth::Pipeline::Build`); call it yourself before using
-  /// structural components (expanders, views) on a hand-built KB.
+  /// `CsrGraph` snapshot and releases the builder graph.  Idempotent;
+  /// after the first call every `Add*` mutator fails with InvalidArgument.
+  /// Called by `api::Engine::Build` (and `groundtruth::Pipeline::Build`);
+  /// call it yourself before using structural components (expanders,
+  /// views) on a hand-built KB.
   const graph::CsrGraph& Freeze();
 
   /// \brief The frozen snapshot; `Freeze()` must have been called.
@@ -156,10 +157,6 @@ class KnowledgeBase {
   const graph::CsrGraph& csr() const;
 
   bool frozen() const { return frozen_; }
-
-  /// \brief True when this KB was reconstituted via `FromSnapshot`
-  /// (implies `frozen()`; the builder graph is empty).
-  bool loaded() const { return loaded_; }
   /// @}
 
   /// \brief Undirected BFS ball of radius `radius` around `sources`,
@@ -180,19 +177,18 @@ class KnowledgeBase {
   /// Fails when the KB is frozen (mutators call this first).
   Status CheckMutable() const;
 
-  /// Kind probe that works in every lifecycle state (builder, frozen,
-  /// loaded — the builder graph is empty in the last).
+  /// Kind probe that works before and after `Freeze()`.
   bool IsArticleNode(NodeId node) const {
     return frozen_ ? csr_.IsArticle(node) : graph_.IsArticle(node);
   }
 
+  /// Builder graph; empty once frozen (`Freeze()` releases it).
   graph::PropertyGraph graph_;
+  /// The frozen graph; empty until `Freeze()`.
   graph::CsrGraph csr_;
   bool frozen_ = false;
-  bool loaded_ = false;
-  /// Per-node normalized labels in loaded mode (the builder keeps them
-  /// in `graph_` otherwise).
-  std::vector<std::string> loaded_labels_;
+  /// Per-node normalized (`labels_`) and display titles, in every state.
+  std::vector<std::string> labels_;
   std::vector<std::string> display_titles_;
   std::unordered_map<std::string, NodeId> title_index_;
   size_t num_articles_ = 0;

@@ -104,7 +104,7 @@ TEST(TopicAnalysisTest, ArticlesByLengthBucketed) {
   for (const TopicAnalysis& a : ctx.analyses) {
     for (uint32_t len = 2; len <= 5; ++len) {
       for (graph::NodeId article : a.articles_by_length[len]) {
-        EXPECT_TRUE(kb.graph().IsArticle(article));
+        EXPECT_TRUE(kb.csr().IsArticle(article));
       }
     }
   }

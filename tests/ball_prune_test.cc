@@ -20,7 +20,7 @@ namespace {
 PropertyGraph ArticleGraph(uint32_t n) {
   PropertyGraph g;
   for (uint32_t i = 0; i < n; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
   }
   return g;
 }

@@ -59,10 +59,10 @@ PropertyGraph RandomSchemaGraph(uint64_t seed, uint32_t num_articles,
   Rng rng(seed);
   PropertyGraph g;
   for (uint32_t i = 0; i < num_articles; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
   }
   for (uint32_t i = 0; i < num_categories; ++i) {
-    g.AddNode(NodeKind::kCategory, "c" + std::to_string(i));
+    g.AddNode(NodeKind::kCategory);
   }
   uint32_t n = num_articles + num_categories;
   for (uint32_t e = 0; e < num_edges; ++e) {
@@ -305,12 +305,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsrEquivalenceProperty,
 
 PropertyGraph TinyWiki() {
   PropertyGraph g;
-  NodeId a0 = g.AddNode(NodeKind::kArticle, "a0");
-  NodeId a1 = g.AddNode(NodeKind::kArticle, "a1");
-  NodeId a2 = g.AddNode(NodeKind::kArticle, "a2");
-  NodeId c0 = g.AddNode(NodeKind::kCategory, "c0");
-  NodeId c1 = g.AddNode(NodeKind::kCategory, "c1");
-  NodeId r = g.AddNode(NodeKind::kArticle, "r");
+  NodeId a0 = g.AddNode(NodeKind::kArticle);
+  NodeId a1 = g.AddNode(NodeKind::kArticle);
+  NodeId a2 = g.AddNode(NodeKind::kArticle);
+  NodeId c0 = g.AddNode(NodeKind::kCategory);
+  NodeId c1 = g.AddNode(NodeKind::kCategory);
+  NodeId r = g.AddNode(NodeKind::kArticle);
   EXPECT_TRUE(g.AddEdge(a0, a1, EdgeKind::kLink).ok());
   EXPECT_TRUE(g.AddEdge(a1, a0, EdgeKind::kLink).ok());
   EXPECT_TRUE(g.AddEdge(a0, c0, EdgeKind::kBelongs).ok());
@@ -423,6 +423,19 @@ TEST(KnowledgeBaseFreezeTest, FreezeIsOneWay) {
   EXPECT_EQ(kb.LinkedFrom(*a), std::vector<NodeId>{*b});
   EXPECT_EQ(kb.LinkingTo(*b), std::vector<NodeId>{*a});
   EXPECT_EQ(kb.CategoriesOf(*a), std::vector<NodeId>{*c});
+}
+
+// After Freeze the KB holds one graph: Freeze releases the builder, and
+// reading it is refused just like reading csr() before Freeze.
+TEST(KnowledgeBaseFreezeDeathTest, BuilderGraphRefusedAfterFreeze) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  wiki::KnowledgeBase kb;
+  ASSERT_TRUE(kb.AddArticle("venice").ok());
+  EXPECT_EQ(kb.graph().num_nodes(), 1u);
+  EXPECT_DEATH(kb.csr(), "frozen_");
+  kb.Freeze();
+  EXPECT_EQ(kb.csr().num_nodes(), 1u);
+  EXPECT_DEATH(kb.graph(), "!frozen_");
 }
 
 TEST(KnowledgeBaseFreezeTest, FrozenStructuralReadsMatchUnfrozen) {

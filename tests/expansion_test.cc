@@ -60,7 +60,7 @@ TEST(DirectLinkTest, FeaturesAreLinkedNeighbors) {
   for (graph::NodeId f : expanded->feature_articles) {
     bool linked = false;
     for (graph::NodeId q : expanded->query_articles) {
-      if (bed.kb().graph().HasEdge(q, f, graph::EdgeKind::kLink)) {
+      if (bed.kb().csr().HasEdge(q, f, graph::EdgeKind::kLink)) {
         linked = true;
         break;
       }

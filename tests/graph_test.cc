@@ -7,7 +7,6 @@
 #include "graph/connected_components.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
-#include "graph/subgraph.h"
 #include "graph/triangles.h"
 #include "graph/undirected_view.h"
 
@@ -18,12 +17,12 @@ PropertyGraph TinyWiki() {
   // a0 <-> a1 (mutual links), both belong to c0; a2 isolated article with
   // category c1; c1 inside c0; r redirect -> a0.
   PropertyGraph g;
-  NodeId a0 = g.AddNode(NodeKind::kArticle, "a0");
-  NodeId a1 = g.AddNode(NodeKind::kArticle, "a1");
-  NodeId a2 = g.AddNode(NodeKind::kArticle, "a2");
-  NodeId c0 = g.AddNode(NodeKind::kCategory, "c0");
-  NodeId c1 = g.AddNode(NodeKind::kCategory, "c1");
-  NodeId r = g.AddNode(NodeKind::kArticle, "r");
+  NodeId a0 = g.AddNode(NodeKind::kArticle);
+  NodeId a1 = g.AddNode(NodeKind::kArticle);
+  NodeId a2 = g.AddNode(NodeKind::kArticle);
+  NodeId c0 = g.AddNode(NodeKind::kCategory);
+  NodeId c1 = g.AddNode(NodeKind::kCategory);
+  NodeId r = g.AddNode(NodeKind::kArticle);
   EXPECT_TRUE(g.AddEdge(a0, a1, EdgeKind::kLink).ok());
   EXPECT_TRUE(g.AddEdge(a1, a0, EdgeKind::kLink).ok());
   EXPECT_TRUE(g.AddEdge(a0, c0, EdgeKind::kBelongs).ok());
@@ -36,21 +35,20 @@ PropertyGraph TinyWiki() {
 
 TEST(PropertyGraphTest, NodeAccessors) {
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "venice");
-  NodeId c = g.AddNode(NodeKind::kCategory, "cities");
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId c = g.AddNode(NodeKind::kCategory);
   EXPECT_EQ(g.num_nodes(), 2u);
   EXPECT_TRUE(g.IsArticle(a));
   EXPECT_TRUE(g.IsCategory(c));
-  EXPECT_EQ(g.label(a), "venice");
   EXPECT_EQ(g.CountNodes(NodeKind::kArticle), 1u);
 }
 
 TEST(PropertyGraphTest, SchemaEnforced) {
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
-  NodeId b = g.AddNode(NodeKind::kArticle, "b");
-  NodeId c = g.AddNode(NodeKind::kCategory, "c");
-  NodeId d = g.AddNode(NodeKind::kCategory, "d");
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId b = g.AddNode(NodeKind::kArticle);
+  NodeId c = g.AddNode(NodeKind::kCategory);
+  NodeId d = g.AddNode(NodeKind::kCategory);
   // Valid combinations.
   EXPECT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).ok());
   EXPECT_TRUE(g.AddEdge(a, c, EdgeKind::kBelongs).ok());
@@ -65,8 +63,8 @@ TEST(PropertyGraphTest, SchemaEnforced) {
 
 TEST(PropertyGraphTest, RejectsSelfLoopsAndDuplicates) {
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
-  NodeId b = g.AddNode(NodeKind::kArticle, "b");
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId b = g.AddNode(NodeKind::kArticle);
   EXPECT_TRUE(g.AddEdge(a, a, EdgeKind::kLink).IsInvalidArgument());
   EXPECT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).ok());
   EXPECT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).IsAlreadyExists());
@@ -76,7 +74,7 @@ TEST(PropertyGraphTest, RejectsSelfLoopsAndDuplicates) {
 
 TEST(PropertyGraphTest, OutOfRangeNode) {
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
+  NodeId a = g.AddNode(NodeKind::kArticle);
   EXPECT_TRUE(g.AddEdge(a, 99, EdgeKind::kLink).IsOutOfRange());
   EXPECT_TRUE(g.CheckNode(99).IsOutOfRange());
   EXPECT_TRUE(g.CheckNode(a).ok());
@@ -173,7 +171,7 @@ TEST(TrianglesTest, TreeIsTriangleFree) {
   PropertyGraph g;
   std::vector<NodeId> cats;
   for (int i = 0; i < 7; ++i) {
-    cats.push_back(g.AddNode(NodeKind::kCategory, "c" + std::to_string(i)));
+    cats.push_back(g.AddNode(NodeKind::kCategory));
   }
   for (int i = 1; i < 7; ++i) {
     ASSERT_TRUE(g.AddEdge(cats[i], cats[(i - 1) / 2], EdgeKind::kInside).ok());
@@ -195,24 +193,6 @@ TEST(TrianglesTest, RestrictedTpr) {
                               view.ToLocal(3)}),
                    1.0);
   EXPECT_DOUBLE_EQ(TriangleParticipationRatio(view, {view.ToLocal(2)}), 0.0);
-}
-
-TEST(InduceTest, PreservesKindsLabelsAndEdges) {
-  PropertyGraph g = TinyWiki();
-  InducedSubgraph sub = Induce(g, {0, 1, 3});
-  EXPECT_EQ(sub.graph.num_nodes(), 3u);
-  // Edges among {a0, a1, c0}: 2 links + 2 belongs.
-  EXPECT_EQ(sub.graph.num_edges(), 4u);
-  EXPECT_EQ(sub.graph.label(sub.Local(3)), "c0");
-  EXPECT_TRUE(sub.graph.IsCategory(sub.Local(3)));
-  EXPECT_EQ(sub.Local(4), kInvalidNode);
-  EXPECT_EQ(sub.to_parent[sub.Local(1)], 1u);
-}
-
-TEST(InduceTest, DuplicatesIgnored) {
-  PropertyGraph g = TinyWiki();
-  InducedSubgraph sub = Induce(g, {0, 0, 1, 1});
-  EXPECT_EQ(sub.graph.num_nodes(), 2u);
 }
 
 }  // namespace

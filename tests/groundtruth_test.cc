@@ -172,8 +172,8 @@ TEST(QueryGraphTest, InducedEdgesOnlyAmongMembers) {
     auto targets = sub.OutTargets(n);
     auto kinds = sub.OutKinds(n);
     for (size_t i = 0; i < targets.size(); ++i, ++sub_edges) {
-      EXPECT_TRUE(p.kb().graph().HasEdge(sub.to_parent[n],
-                                         sub.to_parent[targets[i]], kinds[i]));
+      EXPECT_TRUE(p.kb().csr().HasEdge(sub.to_parent[n],
+                                       sub.to_parent[targets[i]], kinds[i]));
     }
   }
   size_t kb_member_edges = 0;

@@ -183,8 +183,7 @@ TEST(EndToEndTest, KbSurvivesDumpRoundTripWithinPipeline) {
   auto kb2 = wiki::ParseDump(dump);
   ASSERT_TRUE(kb2.ok()) << kb2.status();
   EXPECT_EQ(kb2->num_articles(), ctx.pipeline->kb().num_articles());
-  EXPECT_EQ(kb2->graph().num_edges(),
-            ctx.pipeline->kb().graph().num_edges());
+  EXPECT_EQ(kb2->graph().num_edges(), ctx.pipeline->kb().csr().num_edges());
 }
 
 TEST(EndToEndTest, DeterministicAcrossPipelineBuilds) {

@@ -31,10 +31,10 @@ graph::PropertyGraph RandomSchemaGraph(uint64_t seed, uint32_t num_articles,
   Rng rng(seed);
   graph::PropertyGraph g;
   for (uint32_t i = 0; i < num_articles; ++i) {
-    g.AddNode(graph::NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(graph::NodeKind::kArticle);
   }
   for (uint32_t i = 0; i < num_categories; ++i) {
-    g.AddNode(graph::NodeKind::kCategory, "c" + std::to_string(i));
+    g.AddNode(graph::NodeKind::kCategory);
   }
   uint32_t n = num_articles + num_categories;
   for (uint32_t e = 0; e < num_edges; ++e) {

@@ -30,6 +30,7 @@
 #include "snapshot/format.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
+#include "wiki/dump.h"
 #include "wiki/knowledge_base.h"
 #include "wiki/synthetic.h"
 
@@ -127,7 +128,6 @@ TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
       auto loaded = LoadSnapshot(path, options);
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       EXPECT_TRUE(loaded->frozen());
-      EXPECT_TRUE(loaded->loaded());
 
       ExpectSectionsBitIdentical(kb.csr().Sections(),
                                  loaded->csr().Sections());
@@ -143,6 +143,16 @@ TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
         ASSERT_EQ(loaded->title(u), kb.title(u)) << "node " << u;
         ASSERT_EQ(loaded->display_title(u), kb.display_title(u))
             << "node " << u;
+        // A loaded KB is the same object as the frozen one that wrote it:
+        // every structural lookup answers identically, order included.
+        ASSERT_EQ(loaded->IsRedirect(u), kb.IsRedirect(u)) << "node " << u;
+        ASSERT_EQ(loaded->ResolveRedirect(u), kb.ResolveRedirect(u))
+            << "node " << u;
+        ASSERT_EQ(loaded->RedirectsOf(u), kb.RedirectsOf(u)) << "node " << u;
+        ASSERT_EQ(loaded->CategoriesOf(u), kb.CategoriesOf(u))
+            << "node " << u;
+        ASSERT_EQ(loaded->LinkedFrom(u), kb.LinkedFrom(u)) << "node " << u;
+        ASSERT_EQ(loaded->LinkingTo(u), kb.LinkingTo(u)) << "node " << u;
       }
       // The rebuilt title index resolves exactly like the original's.
       for (uint32_t u = 0; u < n; u += 7) {
@@ -151,6 +161,28 @@ TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
             << "node " << u;
       }
     }
+  }
+}
+
+TEST(SnapshotRoundTripTest, DumpOfLoadedKbMatchesBuiltKb) {
+  // WriteDump reads the CSR, which a loaded KB has too: the dump of the
+  // reloaded snapshot is the dump of the KB that wrote it, byte for byte.
+  wiki::KnowledgeBase kb = SyntheticKb(42, 4);
+  kb.Freeze();
+  const std::string path = TempPath("dump");
+  ASSERT_TRUE(WriteSnapshot(kb, path).ok());
+  const std::string expected = wiki::WriteDump(kb);
+  ASSERT_GT(expected.size(), 10000u);
+  for (LoadMode mode : {LoadMode::kMmap, LoadMode::kCopy}) {
+    SCOPED_TRACE(mode == LoadMode::kMmap ? "mmap" : "copy");
+    ReadOptions options;
+    options.mode = mode;
+    auto loaded = LoadSnapshot(path, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const std::string actual = wiki::WriteDump(*loaded);
+    EXPECT_TRUE(actual == expected)
+        << "dump of the loaded KB is " << actual.size() << " bytes, "
+        << "dump of the built KB " << expected.size() << " bytes";
   }
 }
 
@@ -358,6 +390,65 @@ TEST_F(SnapshotCorruptionTest, ShapeChecksHoldWithoutChecksums) {
   ReadOptions options;
   options.verify_checksums = false;
   ExpectRejected(bytes, "out_offsets", options);
+}
+
+TEST_F(SnapshotCorruptionTest, EntityCountsMustMatchGraph) {
+  // The meta section's entity counts are untrusted: a wrapping sum, a
+  // split that disagrees with the redirect table, or counts edited
+  // together with the cached node-kind count must not load, even with
+  // checksums off.  The section table is intact, so `Open` accepts the
+  // file and `Load` is what rejects it.
+  size_t meta_at = 0;
+  for (const SectionInfo& section : info_->sections) {
+    if (section.id == SectionId::kMeta) meta_at = section.offset;
+  }
+  ASSERT_GT(meta_at, 0u);
+  auto meta_slot = [&](size_t slot) {
+    uint64_t value = 0;
+    std::memcpy(&value, valid_->data() + meta_at + slot * sizeof(uint64_t),
+                sizeof(value));
+    return value;
+  };
+  const uint64_t article_nodes = meta_slot(kMetaNodeKindCount0);
+  const uint64_t num_articles = meta_slot(kMetaNumArticles);
+  const struct {
+    uint64_t num_articles;
+    uint64_t num_redirects;
+    uint64_t node_kind_count0;
+  } edits[] = {
+      {UINT64_MAX, article_nodes + 1, article_nodes},
+      {0, article_nodes, article_nodes},
+      // One extra article on both sides of the old sum check.
+      {num_articles + 1, meta_slot(kMetaNumRedirects), article_nodes + 1},
+  };
+  for (const auto& edit : edits) {
+    SCOPED_TRACE("articles=" + std::to_string(edit.num_articles) +
+                 " redirects=" + std::to_string(edit.num_redirects) +
+                 " node_kind_count0=" + std::to_string(edit.node_kind_count0));
+    std::vector<std::byte> bytes = *valid_;
+    Poke64(&bytes, meta_at + kMetaNumArticles * sizeof(uint64_t),
+           edit.num_articles);
+    Poke64(&bytes, meta_at + kMetaNumRedirects * sizeof(uint64_t),
+           edit.num_redirects);
+    Poke64(&bytes, meta_at + kMetaNodeKindCount0 * sizeof(uint64_t),
+           edit.node_kind_count0);
+    WriteFileBytes(*path_, bytes);
+    for (LoadMode mode : {LoadMode::kMmap, LoadMode::kCopy}) {
+      SCOPED_TRACE(mode == LoadMode::kMmap ? "mmap" : "copy");
+      ReadOptions options;
+      options.mode = mode;
+      options.verify_checksums = false;
+      auto reader = Reader::Open(*path_, options);
+      ASSERT_TRUE(reader.ok()) << reader.status();
+      auto loaded = reader->Load();
+      ASSERT_FALSE(loaded.ok()) << "corrupt counts were accepted";
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+          << loaded.status();
+      EXPECT_NE(loaded.status().message().find("entity counts"),
+                std::string::npos)
+          << loaded.status();
+    }
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, SectionTableOffsetOutOfBounds) {

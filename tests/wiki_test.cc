@@ -174,8 +174,7 @@ TEST_F(SyntheticWikipediaTest, HubsHaveMutualPartners) {
     for (size_t h = 0; h < std::min<size_t>(8, domain.size()); ++h) {
       ++hubs;
       for (NodeId out : wiki.kb.LinkedFrom(domain[h])) {
-        if (wiki.kb.graph().HasEdge(out, domain[h],
-                                    graph::EdgeKind::kLink)) {
+        if (wiki.kb.csr().HasEdge(out, domain[h], graph::EdgeKind::kLink)) {
           ++hubs_with_mutual;
           break;
         }
@@ -190,12 +189,12 @@ TEST_F(SyntheticWikipediaTest, CategoryGraphIsTriangleFreeForest) {
   // Every category has exactly one outgoing `inside` edge (tree-like, as
   // Wikipedia edition rules prescribe), so the pure category graph has no
   // cycles at all.
-  const auto& g = Wiki().kb.graph();
+  const auto& g = Wiki().kb.csr();
   for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
     if (!g.IsCategory(n)) continue;
     size_t inside = 0;
-    for (const graph::Edge& e : g.OutEdges(n)) {
-      if (e.kind == graph::EdgeKind::kInside) ++inside;
+    for (graph::EdgeKind kind : g.OutKinds(n)) {
+      if (kind == graph::EdgeKind::kInside) ++inside;
     }
     EXPECT_LE(inside, 1u);
   }
@@ -323,6 +322,7 @@ TEST(DumpRoundTripTest, SyntheticKbSurvivesWriteParse) {
   options.num_domains = 4;
   auto wiki = GenerateSyntheticWikipedia(options);
   ASSERT_TRUE(wiki.ok());
+  const graph::CsrGraph& csr = wiki->kb.Freeze();  // WriteDump reads the CSR
   std::string dump = WriteDump(wiki->kb);
 
   DumpImportStats stats;
@@ -332,11 +332,11 @@ TEST(DumpRoundTripTest, SyntheticKbSurvivesWriteParse) {
   EXPECT_EQ(kb2->num_categories(), wiki->kb.num_categories());
   EXPECT_EQ(kb2->num_redirects(), wiki->kb.num_redirects());
   EXPECT_EQ(kb2->graph().CountEdges(graph::EdgeKind::kLink),
-            wiki->kb.graph().CountEdges(graph::EdgeKind::kLink));
+            csr.CountEdges(graph::EdgeKind::kLink));
   EXPECT_EQ(kb2->graph().CountEdges(graph::EdgeKind::kBelongs),
-            wiki->kb.graph().CountEdges(graph::EdgeKind::kBelongs));
+            csr.CountEdges(graph::EdgeKind::kBelongs));
   EXPECT_EQ(kb2->graph().CountEdges(graph::EdgeKind::kInside),
-            wiki->kb.graph().CountEdges(graph::EdgeKind::kInside));
+            csr.CountEdges(graph::EdgeKind::kInside));
   EXPECT_EQ(stats.dangling_links, 0u);
 }
 
