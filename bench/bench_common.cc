@@ -31,9 +31,6 @@ groundtruth::PipelineOptions BenchPipelineOptions() {
   options.wiki.seed = EnvOr("WQE_BENCH_SEED", 42);
   options.track.num_topics = EnvOr("WQE_BENCH_TOPICS", 50);
   options.track.seed = options.wiki.seed + 7;
-  // Analysis parallelism (topic fan-out + in-ball enumeration); results
-  // are bit-identical at any setting, so this only moves wall-clock.
-  options.num_threads = EnvOr("WQE_BENCH_THREADS", 1);
   return options;
 }
 
@@ -134,7 +131,12 @@ const BenchContext& GetBenchContext() {
                   << watch.ElapsedSeconds() << "s";
 
     watch.Reset();
-    analysis::QueryGraphAnalyzer analyzer(ctx->pipeline.get(), &ctx->gt);
+    // Analysis threads (topic fan-out); results are bit-identical at
+    // any count, so WQE_BENCH_THREADS only moves wall-clock.
+    analysis::AnalyzerOptions analysis_options;
+    analysis_options.num_threads = EnvOr("WQE_BENCH_THREADS", 1);
+    analysis::QueryGraphAnalyzer analyzer(ctx->pipeline.get(), &ctx->gt,
+                                          analysis_options);
     auto analyses = analyzer.AnalyzeAll();
     WQE_CHECK_OK(analyses.status());
     ctx->analyses = std::move(*analyses);

@@ -11,9 +11,10 @@
 ///   WQE_BENCH_TOPICS   — number of topics (default 50)
 ///   WQE_BENCH_DOMAINS  — number of KB domains (default 50)
 ///   WQE_BENCH_SEED     — generator seed (default 42)
-///   WQE_BENCH_THREADS  — analysis threads: §3 topic fan-out + parallel
-///                        cycle enumeration (default 1; output identical
-///                        at any setting)
+///   WQE_BENCH_THREADS  — `AnalyzerOptions::num_threads` of the shared
+///                        §3 analysis: topics fan out across that many
+///                        threads (default 1; output identical at any
+///                        setting)
 
 #include <memory>
 #include <string>

@@ -98,7 +98,9 @@ EOF
 # the pruning kernel records into the shared global metrics registry;
 # obs_test for the lock-free metrics instruments (multi-writer histogram
 # stress) and trace propagation across pool tasks; snapshot_test for hot
-# republish under live traffic (epoch swap + cache generation churn).
+# republish under live traffic (epoch swap + cache generation churn);
+# analysis_test for the analyzer's owned pool (topic fan-out, in-ball
+# enumeration + metrics batches, pool reuse across AnalyzeAll calls).
 # (The asan lane below runs the full ctest suite, so both already cover
 # obs_test there.)
 run_tsan() {
@@ -107,7 +109,7 @@ run_tsan() {
     -DCMAKE_BUILD_TYPE=Debug \
     -DWQE_BUILD_BENCHES=OFF -DWQE_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j
-  (cd build-tsan && ctest --output-on-failure -R 'serve_test|api_test|cycles_test|obs_test|ball_prune_test|chaos_test|snapshot_test')
+  (cd build-tsan && ctest --output-on-failure -R 'serve_test|api_test|cycles_test|obs_test|ball_prune_test|chaos_test|snapshot_test|analysis_test')
   set +x
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -23,17 +24,20 @@ QueryGraphAnalyzer::QueryGraphAnalyzer(const groundtruth::Pipeline* pipeline,
                                        const groundtruth::GroundTruth* gt,
                                        AnalyzerOptions options)
     : pipeline_(pipeline), gt_(gt), options_(options) {
-  // 0 = inherit: the pipeline is the fixture that knows how much hardware
-  // the experiment may use; explicit analyzer options always win.
   if (options_.num_threads == 0) {
-    options_.num_threads = pipeline_->num_threads();
+    options_.num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  if (options_.pool == nullptr) options_.pool = pipeline_->pool();
-  options_.prune_ball = options_.prune_ball && pipeline_->prune_ball();
+  // Sized one short of the knob: callers participate in their own
+  // fan-out (caller + workers = num_threads analyzing threads).
+  if (options_.num_threads > 1) {
+    pool_ = std::make_unique<serve::ThreadPool>(options_.num_threads - 1);
+  }
 }
 
+QueryGraphAnalyzer::~QueryGraphAnalyzer() = default;
+
 Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
-  return AnalyzeImpl(topic_index, options_.num_threads, options_.pool);
+  return AnalyzeImpl(topic_index, options_.num_threads, pool_.get());
 }
 
 Result<TopicAnalysis> QueryGraphAnalyzer::AnalyzeImpl(
@@ -112,7 +116,6 @@ Result<TopicAnalysis> QueryGraphAnalyzer::AnalyzeImpl(
   cycle_options.seeds = qg.query_articles;
   cycle_options.num_threads = num_threads;
   cycle_options.pool = pool;
-  cycle_options.prune_ball = options_.prune_ball;
   graph::CycleEnumerator enumerator(view);
   std::vector<graph::Cycle> cycles = enumerator.Enumerate(cycle_options);
   std::vector<graph::CycleMetrics> metrics =
@@ -200,7 +203,7 @@ Result<TopicAnalysis> QueryGraphAnalyzer::AnalyzeImpl(
 Result<std::vector<TopicAnalysis>> QueryGraphAnalyzer::AnalyzeAll() const {
   const size_t num_topics = gt_->entries.size();
   const uint32_t threads =
-      serve::EffectiveParallelism(options_.num_threads, options_.pool);
+      serve::EffectiveParallelism(options_.num_threads, pool_.get());
   if (threads <= 1 || num_topics < 2) {
     std::vector<TopicAnalysis> out;
     out.reserve(num_topics);
@@ -222,7 +225,7 @@ Result<std::vector<TopicAnalysis>> QueryGraphAnalyzer::AnalyzeAll() const {
   std::vector<Result<TopicAnalysis>> results(
       num_topics, Result<TopicAnalysis>(TopicAnalysis{}));
   std::atomic<size_t> cursor{0};
-  serve::RunParallel(options_.pool,
+  serve::RunParallel(pool_.get(),
                      std::min<size_t>(threads - 1, num_topics - 1), [&] {
                        for (;;) {
                          const size_t t =

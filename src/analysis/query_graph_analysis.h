@@ -12,6 +12,7 @@
 /// topics with different baselines comparable).
 
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -21,6 +22,10 @@
 #include "graph/triangles.h"
 #include "groundtruth/ground_truth.h"
 #include "groundtruth/pipeline.h"
+
+namespace wqe::serve {
+class ThreadPool;  // fwd: the analyzer owns its fan-out pool
+}  // namespace wqe::serve
 
 namespace wqe::analysis {
 
@@ -71,21 +76,16 @@ struct AnalyzerOptions {
   /// *counts* (Fig 6) always use the full enumeration.
   size_t max_scored_cycles = 4000;
 
-  /// Analysis threads: 1 = sequential, 0 (default) = inherit the
-  /// pipeline's `num_threads` knob.  `AnalyzeAll` fans topics across the
-  /// pool; a direct `Analyze` call parallelizes *within* the topic ball
-  /// (cycle enumeration + metrics).  The two never nest: the fan-out
-  /// hands every participant — pool workers and the calling thread —
+  /// Analysis threads: 1 (the default) = sequential, 0 = one per
+  /// hardware thread; output is identical at any count.  Above 1 the
+  /// analyzer owns one pool of `threads - 1` workers (the calling thread
+  /// participates).  `AnalyzeAll` fans topics across it; a direct
+  /// `Analyze` call parallelizes *within* the topic ball (cycle
+  /// enumeration + metrics).  The two never nest: the fan-out hands
+  /// every participant — pool workers and the calling thread —
   /// sequential in-ball settings, so topic work neither deadlocks on
   /// pool capacity nor queues sub-tasks behind whole topics.
-  uint32_t num_threads = 0;
-  /// Pool to run on (borrowed); null inherits the pipeline's pool, and a
-  /// transient pool is spawned when neither exists.
-  serve::ThreadPool* pool = nullptr;
-  /// Ball-prune each topic's view before enumerating (graph/ball_prune.h;
-  /// output is bit-identical either way).  ANDed with the pipeline's own
-  /// knob: disabling at either layer disables.
-  bool prune_ball = true;
+  uint32_t num_threads = 1;
 };
 
 /// \brief Per-topic analyzer bound to a pipeline + ground truth.
@@ -96,6 +96,8 @@ class QueryGraphAnalyzer {
   QueryGraphAnalyzer(const groundtruth::Pipeline* pipeline,
                      const groundtruth::GroundTruth* gt,
                      AnalyzerOptions options = {});
+  /// Out of line: owns a forward-declared `serve::ThreadPool`.
+  ~QueryGraphAnalyzer();
 
   /// \brief Full analysis of one topic.
   Result<TopicAnalysis> Analyze(size_t topic_index) const;
@@ -118,7 +120,8 @@ class QueryGraphAnalyzer {
 
   const groundtruth::Pipeline* pipeline_;
   const groundtruth::GroundTruth* gt_;
-  AnalyzerOptions options_;
+  AnalyzerOptions options_;  ///< `num_threads` resolved: never 0
+  std::unique_ptr<serve::ThreadPool> pool_;  ///< null when sequential
 };
 
 }  // namespace wqe::analysis

@@ -1,13 +1,10 @@
 #include "api/engine.h"
 
-#include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "obs/trace.h"
-#include "serve/thread_pool.h"
 
 namespace wqe::api {
 
@@ -17,20 +14,6 @@ namespace {
 std::string ConfigKey(std::string_view resolved_name,
                       const ExpanderOverrides& overrides) {
   return std::string(resolved_name) + overrides.ToKey();
-}
-
-/// The execution context a request should run under: its own budget
-/// (deadline computed now, cancel token as given) merged with whatever
-/// ambient context the caller already installed — the tighter deadline
-/// wins, so a serve-layer default cannot be loosened per request.
-common::ExecContext RequestExecContext(double deadline_ms,
-                                       const common::CancelToken& cancel) {
-  common::ExecContext request;
-  if (deadline_ms > 0.0) {
-    request.deadline = common::Deadline::AfterMillis(deadline_ms);
-  }
-  request.cancel = cancel;
-  return common::ExecContext::Merge(common::CurrentExecContext(), request);
 }
 
 /// Stage latency histograms, shared by every engine (per-stage timing is
@@ -49,8 +32,6 @@ obs::Histogram* SearchHistogram() {
 
 }  // namespace
 
-Engine::~Engine() = default;
-
 Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
                                               EngineOptions options) {
   if (options.default_top_k == 0) {
@@ -60,23 +41,6 @@ Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
   engine->options_ = std::move(options);
   engine->search_ =
       std::make_unique<ir::SearchEngine>(engine->options_.search);
-  // Intra-request enumeration parallelism: one engine-owned pool, wired
-  // into the cycle strategy's defaults before the registry captures them
-  // (sized one short of the knob — the enumerating request thread
-  // participates in its own fan-out).
-  if (engine->options_.enumeration_threads != 1) {
-    uint32_t threads = engine->options_.enumeration_threads != 0
-                           ? engine->options_.enumeration_threads
-                           : std::max(1u, std::thread::hardware_concurrency());
-    engine->options_.strategies.cycle.num_threads = threads;
-    if (threads > 1) {
-      engine->enum_pool_ = std::make_unique<serve::ThreadPool>(threads - 1);
-      engine->options_.strategies.cycle.pool = engine->enum_pool_.get();
-    }
-  }
-  engine->options_.strategies.cycle.prune_ball =
-      engine->options_.strategies.cycle.prune_ball &&
-      engine->options_.prune_ball;
   engine->registry_ =
       ExpanderRegistry::WithBuiltins(engine->options_.strategies);
   if (!engine->registry_.Contains(engine->options_.default_expander)) {
@@ -267,7 +231,7 @@ Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
 
 Result<ExpandResponse> Engine::Expand(const ExpandRequest& request) const {
   common::ScopedExecContext exec_scope(
-      RequestExecContext(request.deadline_ms, request.cancel));
+      common::ExecContext::ForRequest(request.deadline_ms, request.cancel));
   // Pin the graph epoch for the whole request: a concurrent
   // PublishSnapshot cannot swap the graph out from under the expansion.
   std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
@@ -280,7 +244,7 @@ Result<ExpandResponse> Engine::Expand(const ExpandRequest& request) const {
 
 Result<QueryResponse> Engine::Query(const QueryRequest& request) const {
   common::ScopedExecContext exec_scope(
-      RequestExecContext(request.deadline_ms, request.cancel));
+      common::ExecContext::ForRequest(request.deadline_ms, request.cancel));
   std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
   std::map<std::string, std::unique_ptr<expansion::Expander>> cache;
   WQE_ASSIGN_OR_RETURN(
@@ -304,7 +268,8 @@ Result<std::vector<ExpandResponse>> Engine::ExpandBatch(
     // removes) its own request's context, so one expired deadline never
     // bleeds into its batch neighbors.
     common::ScopedExecContext exec_scope(
-        RequestExecContext(requests[i].deadline_ms, requests[i].cancel));
+        common::ExecContext::ForRequest(requests[i].deadline_ms,
+                                        requests[i].cancel));
     auto resolved = ResolveExpander(*snapshot, requests[i].expander,
                                     requests[i].overrides, &cache);
     if (!resolved.ok()) {
@@ -331,7 +296,8 @@ Result<std::vector<QueryResponse>> Engine::QueryBatch(
   responses.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     common::ScopedExecContext exec_scope(
-        RequestExecContext(requests[i].deadline_ms, requests[i].cancel));
+        common::ExecContext::ForRequest(requests[i].deadline_ms,
+                                        requests[i].cancel));
     auto resolved = ResolveExpander(*snapshot, requests[i].expander,
                                     requests[i].overrides, &cache);
     if (!resolved.ok()) {

@@ -33,6 +33,14 @@ double Deadline::remaining_ms() const {
       .count();
 }
 
+ExecContext ExecContext::ForRequest(double deadline_ms,
+                                    const CancelToken& cancel) {
+  ExecContext request;
+  if (deadline_ms > 0.0) request.deadline = Deadline::AfterMillis(deadline_ms);
+  request.cancel = cancel;
+  return Merge(g_exec_context, request);
+}
+
 const ExecContext& CurrentExecContext() { return g_exec_context; }
 
 ExecContext ExchangeCurrentExecContext(ExecContext ctx) {

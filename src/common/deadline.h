@@ -134,6 +134,12 @@ struct ExecContext {
     out.cancel = request.cancel.valid() ? request.cancel : ambient.cancel;
     return out;
   }
+
+  /// \brief The context one request should run under: its own budget
+  /// (`deadline_ms > 0` starts a deadline now; 0 means none) and cancel
+  /// token, merged with the calling thread's ambient context so the
+  /// tighter deadline wins and a caller's budget cannot be loosened.
+  static ExecContext ForRequest(double deadline_ms, const CancelToken& cancel);
 };
 
 /// \brief The calling thread's current execution context (infinite /

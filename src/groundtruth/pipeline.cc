@@ -1,16 +1,10 @@
 #include "groundtruth/pipeline.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "clef/image_metadata.h"
 #include "common/logging.h"
 #include "common/macros.h"
-#include "serve/thread_pool.h"
 
 namespace wqe::groundtruth {
-
-Pipeline::~Pipeline() = default;
 
 Result<std::unique_ptr<Pipeline>> Pipeline::Build(
     const PipelineOptions& options) {
@@ -50,17 +44,6 @@ Result<std::unique_ptr<Pipeline>> Pipeline::Build(
       p->relevant_[t].insert(*id);
     }
   }
-
-  // Analysis parallelism: one experiment-shared pool.  Sized one short of
-  // the knob because enumeration/analysis callers participate in their
-  // own fan-out (caller + workers = num_threads enumerating threads).
-  p->num_threads_ = options.num_threads != 0
-                        ? options.num_threads
-                        : std::max(1u, std::thread::hardware_concurrency());
-  if (p->num_threads_ > 1) {
-    p->pool_ = std::make_unique<serve::ThreadPool>(p->num_threads_ - 1);
-  }
-  p->prune_ball_ = options.prune_ball;
 
   WQE_LOG(Info) << "pipeline: " << p->wiki_.kb.num_articles() << " articles, "
                 << p->track_.documents.size() << " documents, "

@@ -27,10 +27,6 @@
 #include "linking/entity_linker.h"
 #include "wiki/synthetic.h"
 
-namespace wqe::serve {
-class ThreadPool;  // fwd: the fixture only owns and hands down a pool
-}  // namespace wqe::serve
-
 namespace wqe::groundtruth {
 
 /// \brief Aggregated configuration.
@@ -39,17 +35,6 @@ struct PipelineOptions {
   clef::TrackGeneratorOptions track;
   ir::SearchEngineOptions engine;
   linking::EntityLinkerOptions linker;
-  /// Worker threads for the §3 analysis consumers (cycle enumeration,
-  /// per-topic fan-out): 1 = sequential (default), 0 = one per hardware
-  /// thread.  When != 1 the pipeline owns a `serve::ThreadPool` that
-  /// `analysis::QueryGraphAnalyzer` inherits — one pool per experiment
-  /// instead of one per call.
-  uint32_t num_threads = 1;
-  /// Ball-prune topic views before cycle enumeration (graph/ball_prune.h;
-  /// analysis output is bit-identical either way).  Inherited by
-  /// `analysis::QueryGraphAnalyzer` with AND semantics — disabling at
-  /// either layer disables.
-  bool prune_ball = true;
 };
 
 /// \brief Built experiment context (immutable after Build).
@@ -59,9 +44,6 @@ class Pipeline {
   /// the document text, and resolves the relevance judgments.
   static Result<std::unique_ptr<Pipeline>> Build(
       const PipelineOptions& options);
-
-  /// Out of line: owns a forward-declared `serve::ThreadPool`.
-  ~Pipeline();
 
   const wiki::SyntheticWikipedia& wiki() const { return wiki_; }
   const wiki::KnowledgeBase& kb() const { return wiki_.kb; }
@@ -80,16 +62,6 @@ class Pipeline {
     return engine_->store().Get(doc).text;
   }
 
-  /// \brief The configured analysis thread count (resolved: never 0).
-  uint32_t num_threads() const { return num_threads_; }
-
-  /// \brief The experiment-shared analysis pool; null when sequential.
-  serve::ThreadPool* pool() const { return pool_.get(); }
-
-  /// \brief Whether analysis consumers should ball-prune before
-  /// enumeration (see PipelineOptions::prune_ball).
-  bool prune_ball() const { return prune_ball_; }
-
  private:
   Pipeline() = default;
 
@@ -98,9 +70,6 @@ class Pipeline {
   std::unique_ptr<ir::SearchEngine> engine_;
   std::unique_ptr<linking::EntityLinker> linker_;
   std::vector<ir::RelevantSet> relevant_;
-  uint32_t num_threads_ = 1;
-  bool prune_ball_ = true;
-  std::unique_ptr<serve::ThreadPool> pool_;  ///< null when num_threads_ == 1
 };
 
 }  // namespace wqe::groundtruth

@@ -105,18 +105,6 @@ ServerSnapshot Server::StatsSnapshot() const {
   return snapshot;
 }
 
-common::ExecContext Server::RequestContext(
-    double deadline_ms, const common::CancelToken& cancel) const {
-  common::ExecContext request;
-  const double budget_ms =
-      deadline_ms > 0.0 ? deadline_ms : options_.default_deadline_ms;
-  if (budget_ms > 0.0) {
-    request.deadline = common::Deadline::AfterMillis(budget_ms);
-  }
-  request.cancel = cancel;
-  return common::ExecContext::Merge(common::CurrentExecContext(), request);
-}
-
 Status Server::AdmitRequest(const common::ExecContext& exec) {
   Status shed = Status::OK();
   const size_t depth = pool_.queue_depth();
@@ -289,8 +277,10 @@ Result<Response> Server::ServeRequest(
 std::future<Result<api::QueryResponse>> Server::Submit(
     api::QueryRequest request) {
   instruments_.requests->Inc();
-  const common::ExecContext exec =
-      RequestContext(request.deadline_ms, request.cancel);
+  const common::ExecContext exec = common::ExecContext::ForRequest(
+      request.deadline_ms > 0.0 ? request.deadline_ms
+                                : options_.default_deadline_ms,
+      request.cancel);
   if (Status admit = AdmitRequest(exec); !admit.ok()) {
     return ReadyFuture<api::QueryResponse>(std::move(admit));
   }
@@ -307,8 +297,10 @@ std::future<Result<api::QueryResponse>> Server::Submit(
 std::future<Result<api::ExpandResponse>> Server::SubmitExpand(
     api::ExpandRequest request) {
   instruments_.requests->Inc();
-  const common::ExecContext exec =
-      RequestContext(request.deadline_ms, request.cancel);
+  const common::ExecContext exec = common::ExecContext::ForRequest(
+      request.deadline_ms > 0.0 ? request.deadline_ms
+                                : options_.default_deadline_ms,
+      request.cancel);
   if (Status admit = AdmitRequest(exec); !admit.ok()) {
     return ReadyFuture<api::ExpandResponse>(std::move(admit));
   }
@@ -358,8 +350,10 @@ Result<std::vector<Response>> Server::RunBatch(
     // Admission is per batch item: a shed slot becomes an already-failed
     // future, so phase 3's lowest-failing-index semantics cover shed,
     // deadline and ordinary failures uniformly.
-    const common::ExecContext exec =
-        RequestContext(requests[i].deadline_ms, requests[i].cancel);
+    const common::ExecContext exec = common::ExecContext::ForRequest(
+        requests[i].deadline_ms > 0.0 ? requests[i].deadline_ms
+                                      : options_.default_deadline_ms,
+        requests[i].cancel);
     if (Status admit = AdmitRequest(exec); !admit.ok()) {
       futures.push_back(ReadyFuture<Response>(std::move(admit)));
       continue;

@@ -233,33 +233,44 @@ TEST(AnalyzerTest, ScoringCapStillCountsAllCycles) {
 }
 
 TEST(AnalyzerTest, ParallelAnalyzeAllIdenticalToSequential) {
-  // The shared context's analyses were computed sequentially (pipeline
-  // num_threads defaults to 1); a 4-thread AnalyzeAll over the same
-  // ground truth must reproduce them field-for-field.
+  // The shared context's analyses were computed sequentially (the
+  // analyzer's num_threads defaults to 1).  A 4-thread AnalyzeAll, an
+  // auto-sized one (0 = one per hardware thread), and a second AnalyzeAll
+  // on the same analyzer — reusing the pool it owns — must all reproduce
+  // them field-for-field.
   const Context& ctx = SmallContext();
-  AnalyzerOptions parallel;
-  parallel.num_threads = 4;
-  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, parallel);
-  auto analyses = analyzer.AnalyzeAll();
-  ASSERT_TRUE(analyses.ok()) << analyses.status();
-  ASSERT_EQ(analyses->size(), ctx.analyses.size());
-  for (size_t t = 0; t < ctx.analyses.size(); ++t) {
-    const TopicAnalysis& want = ctx.analyses[t];
-    const TopicAnalysis& got = (*analyses)[t];
-    EXPECT_EQ(got.topic_index, want.topic_index);
-    EXPECT_DOUBLE_EQ(got.baseline_quality, want.baseline_quality);
-    EXPECT_EQ(got.component.graph_size, want.component.graph_size);
-    EXPECT_DOUBLE_EQ(got.component.tpr, want.component.tpr);
-    ASSERT_EQ(got.cycles.size(), want.cycles.size()) << "topic " << t;
-    for (size_t c = 0; c < want.cycles.size(); ++c) {
-      EXPECT_EQ(got.cycles[c].cycle.nodes, want.cycles[c].cycle.nodes);
-      EXPECT_DOUBLE_EQ(got.cycles[c].contribution,
-                       want.cycles[c].contribution);
-      EXPECT_EQ(got.cycles[c].metrics.num_edges,
-                want.cycles[c].metrics.num_edges);
+  auto expect_identical = [&](const std::vector<TopicAnalysis>& analyses) {
+    ASSERT_EQ(analyses.size(), ctx.analyses.size());
+    for (size_t t = 0; t < ctx.analyses.size(); ++t) {
+      const TopicAnalysis& want = ctx.analyses[t];
+      const TopicAnalysis& got = analyses[t];
+      EXPECT_EQ(got.topic_index, want.topic_index);
+      EXPECT_DOUBLE_EQ(got.baseline_quality, want.baseline_quality);
+      EXPECT_EQ(got.component.graph_size, want.component.graph_size);
+      EXPECT_DOUBLE_EQ(got.component.tpr, want.component.tpr);
+      ASSERT_EQ(got.cycles.size(), want.cycles.size()) << "topic " << t;
+      for (size_t c = 0; c < want.cycles.size(); ++c) {
+        EXPECT_EQ(got.cycles[c].cycle.nodes, want.cycles[c].cycle.nodes);
+        EXPECT_DOUBLE_EQ(got.cycles[c].contribution,
+                         want.cycles[c].contribution);
+        EXPECT_EQ(got.cycles[c].metrics.num_edges,
+                  want.cycles[c].metrics.num_edges);
+      }
+      for (uint32_t len = kMinCycleLength; len <= kMaxCycleLength; ++len) {
+        EXPECT_EQ(got.articles_by_length[len], want.articles_by_length[len]);
+      }
     }
-    for (uint32_t len = kMinCycleLength; len <= kMaxCycleLength; ++len) {
-      EXPECT_EQ(got.articles_by_length[len], want.articles_by_length[len]);
+  };
+  for (uint32_t threads : {4u, 0u}) {
+    SCOPED_TRACE(testing::Message() << "num_threads=" << threads);
+    AnalyzerOptions parallel;
+    parallel.num_threads = threads;
+    QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, parallel);
+    for (int run = 0; run < 2; ++run) {
+      SCOPED_TRACE(testing::Message() << "AnalyzeAll run " << run);
+      auto analyses = analyzer.AnalyzeAll();
+      ASSERT_TRUE(analyses.ok()) << analyses.status();
+      expect_identical(*analyses);
     }
   }
 }
