@@ -15,6 +15,12 @@
 ///   3. `zipf_pendants` — a hub-skewed random schema graph decorated
 ///      with pendant chains, pruned by peeling alone (no seeds).
 ///
+/// The unpruned arm still runs the enumerator's distance barriers
+/// (graph/cycles.h), which skip the far starts and neighbours the radius
+/// filter removes, so what remains measurable is mostly degree peeling:
+/// pendant nodes within the radius lie on no cycle, but no distance
+/// bound can tell.
+///
 /// Hard correctness gates (aborts, not just reporting):
 ///   - pruned and unpruned enumeration produce identical cycle vectors
 ///     (set AND order) on every config before anything is timed;

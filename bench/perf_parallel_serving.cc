@@ -15,7 +15,8 @@
 ///   - cache hits are counter-verified against `EngineStats` and the
 ///     cache's own counters, with a > 0.9 hit ratio on the warm pass;
 ///   - with ≥ 4 hardware threads, 4 workers must reach ≥ 2× the 1-worker
-///     QueryBatch throughput (reported either way on smaller machines);
+///     QueryBatch throughput as the median of paired, interleaved reps
+///     (reported with its IQR either way on smaller machines);
 ///   - the observability instrumentation costs ≤ 2% on the warm-cache
 ///     path (min-of-5 alternating reps with the runtime kill switch).
 ///
@@ -99,8 +100,6 @@ int main() {
   json.Add("engine_query_batch", "total_ms", sequential_ms, config);
 
   // Thread-pool scaling, cache off: same work, more workers.
-  double one_thread_ms = 0.0;
-  double four_thread_ms = 0.0;
   for (size_t threads : {1u, 2u, 4u}) {
     // Per-configuration registry (declared before the server, which
     // borrows it): clean percentiles, no cross-config bleed.
@@ -122,8 +121,6 @@ int main() {
         server.StatsSnapshot().request_latency_ms;
     json.Add(name, "latency_p50_ms", latency.Percentile(0.5), config);
     json.Add(name, "latency_p99_ms", latency.Percentile(0.99), config);
-    if (threads == 1) one_thread_ms = ms;
-    if (threads == 4) four_thread_ms = ms;
   }
 
   // Cache effectiveness: cold pass then warm pass, counter-verified.
@@ -182,10 +179,44 @@ int main() {
       "warm-pass cache hit ratio: %.3f (%zu/%zu, counter-verified)\n",
       n, distinct_keys.size(), bed.num_topics(), warm_ratio, warm_hits, n);
 
+  // 4-thread scaling gate.  One 1-vs-4 reading swings from 0.9x to 4x
+  // on a shared host, so each rep times a 1-worker and a 4-worker batch
+  // back-to-back (order flipped per rep so drift cancels) and the gate
+  // reads the median per-rep ratio; its IQR is printed as the noise.
+  constexpr int kScalingReps = 9;
+  double ratios[kScalingReps];
+  {
+    obs::MetricsRegistry one_registry;
+    obs::MetricsRegistry four_registry;
+    serve::ServerOptions scaling;
+    scaling.enable_cache = false;
+    scaling.num_threads = 1;
+    scaling.registry = &one_registry;
+    serve::Server one(engine, scaling);
+    scaling.num_threads = 4;
+    scaling.registry = &four_registry;
+    serve::Server four(engine, scaling);
+    for (int rep = 0; rep < kScalingReps; ++rep) {
+      double arm_ms[2] = {0.0, 0.0};  // [0] = 1 worker, [1] = 4 workers
+      const bool four_first = rep % 2 == 1;
+      for (int arm : {four_first ? 1 : 0, four_first ? 0 : 1}) {
+        watch.Reset();
+        auto got = (arm == 0 ? one : four).QueryBatch(requests);
+        arm_ms[arm] = watch.ElapsedMillis();
+        WQE_CHECK_OK(got.status());
+        CheckIdenticalRankings(*got, *sequential);
+      }
+      ratios[rep] = arm_ms[0] / arm_ms[1];
+    }
+  }
+  std::sort(ratios, ratios + kScalingReps);
+  const double speedup = ratios[kScalingReps / 2];
+  const double speedup_iqr =
+      ratios[(3 * kScalingReps) / 4] - ratios[kScalingReps / 4];
   unsigned hw = std::thread::hardware_concurrency();
-  double speedup = one_thread_ms / four_thread_ms;
-  std::printf("4-thread speedup over 1 thread: %.2fx on %u hardware "
-              "thread(s)\n", speedup, hw);
+  std::printf("4-thread speedup over 1 thread: %.2fx median of %d paired "
+              "reps (IQR %.2fx) on %u hardware thread(s)\n",
+              speedup, kScalingReps, speedup_iqr, hw);
   if (hw >= 4) {
     WQE_CHECK(speedup >= 2.0);  // the ISSUE-2 acceptance bar
   } else {
@@ -339,13 +370,20 @@ int main() {
     }
     const std::vector<api::QueryRequest> churn_requests =
         requests_for_topics(sweep);
+    std::set<std::string> churn_keys;
+    for (const api::QueryRequest& request : churn_requests) {
+      churn_keys.insert(request.keywords);
+    }
+    // Half the distinct keys: a sequential sweep then evicts every entry
+    // before its next use, at any topic count.
+    const size_t churn_capacity = std::max<size_t>(1, churn_keys.size() / 2);
     auto reference = engine.QueryBatch(churn_requests);
     WQE_CHECK_OK(reference.status());
 
     obs::MetricsRegistry churn_registry;
     serve::ServerOptions churn_options;
     churn_options.num_threads = 4;
-    churn_options.cache.capacity = 8;  // << distinct keys: every sweep misses
+    churn_options.cache.capacity = churn_capacity;
     churn_options.cache.num_shards = 1;
     churn_options.registry = &churn_registry;
     serve::Server churn_server(engine, churn_options);
@@ -368,7 +406,7 @@ int main() {
         churn_server.StatsSnapshot().request_latency_ms;
     const std::string churn_config =
         "requests=" + std::to_string(churn_requests.size()) +
-        ";cache_capacity=8";
+        ";cache_capacity=" + std::to_string(churn_capacity);
     json.Add("adversarial_churn", "total_ms", churn_ms, churn_config);
     json.Add("adversarial_churn", "latency_p50_ms",
              churn_latency.Percentile(0.5), churn_config);

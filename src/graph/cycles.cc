@@ -30,6 +30,51 @@ obs::Histogram* EnumerationHistogram() {
   return histogram;
 }
 
+/// DFS work per enumeration: path extensions summed over every start
+/// and worker, recorded once per run (never per extension).
+obs::Histogram* ExtensionsHistogram() {
+  static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
+      "wqe.graph.enumeration_extensions");
+  return histogram;
+}
+
+/// Hop distance beyond a barrier's ⌊max_length/2⌋ cap: the node lies on
+/// no cycle of length <= max_length through the BFS sources.
+constexpr uint32_t kFar = UINT32_MAX;
+
+/// Multi-source BFS from the alive seeds in the view over alive nodes,
+/// capped at ⌊max_length/2⌋ hops (kFar beyond).  Empty when no seed
+/// filter is set.  A path node is a seed exactly when its distance is 0:
+/// dead seeds never join a path.
+std::vector<uint32_t> SeedDistances(const UndirectedView& view,
+                                    const CycleEnumerationOptions& options,
+                                    const uint64_t* alive) {
+  std::vector<uint32_t> dist;
+  if (options.seeds.empty()) return dist;
+  dist.assign(view.num_nodes(), kFar);
+  std::vector<uint32_t> queue;
+  for (NodeId g : options.seeds) {
+    const uint32_t local = view.ToLocal(g);
+    if (local == UINT32_MAX || dist[local] == 0) continue;
+    if (alive != nullptr && !BallPruneAlive(alive, local)) continue;
+    dist[local] = 0;
+    queue.push_back(local);
+  }
+  const uint32_t cap = options.max_length / 2;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const uint32_t u = queue[head];
+    if (dist[u] >= cap) break;  // BFS order: the rest sit at the cap
+    for (uint32_t v : view.Neighbors(u)) {
+      if (dist[v] != kFar || (alive != nullptr && !BallPruneAlive(alive, v))) {
+        continue;
+      }
+      dist[v] = dist[u] + 1;
+      queue.push_back(v);
+    }
+  }
+  return dist;
+}
+
 /// DFS state for one enumeration run (one thread's worth: the parallel
 /// path gives every worker its own context over the shared view).
 ///
@@ -39,7 +84,9 @@ obs::Histogram* EnumerationHistogram() {
 struct DfsContext {
   const UndirectedView* view;
   const CycleEnumerationOptions* options;
-  const std::vector<bool>* is_seed;  ///< by local id (null = no filter)
+  /// Seed barrier (`SeedDistances`), shared read-only by every worker;
+  /// null when no seed filter is set.
+  const uint32_t* seed_dist = nullptr;
   /// Ball-pruning bitset by local id (graph/ball_prune.h); null when
   /// pruning is off or removed nothing.  Dead nodes lie on no qualifying
   /// cycle, so skipping them changes no emission and no emission order.
@@ -47,6 +94,18 @@ struct DfsContext {
   std::function<bool(const std::vector<uint32_t>&)> sink;
   std::vector<bool> on_path;
   std::vector<uint32_t> path;
+  /// Seeds on `path` (pushed and popped with it).
+  uint32_t path_seeds = 0;
+  /// Per-start barrier: hop distance from the current start over alive
+  /// nodes above it, capped at ⌊max_length/2⌋ (kFar beyond).  Only the
+  /// `reached` entries differ from kFar, so resetting costs one BFS.
+  std::vector<uint32_t> start_dist;
+  /// BFS order; `reached[1, start_neighbors_end)` are the start's alive
+  /// neighbours above it, ascending.
+  std::vector<uint32_t> reached;
+  size_t start_neighbors_end = 1;
+  /// Path extensions made by this context (the DFS work measure).
+  uint64_t extensions = 0;
   bool aborted = false;
   /// Sticky: set once the ambient deadline fires or cancellation is
   /// requested.  Distinct from `aborted` (which a visitor can also set)
@@ -62,12 +121,14 @@ struct DfsContext {
   int check_countdown = 1;
 
   void Init(const UndirectedView& v, const CycleEnumerationOptions& o,
-            const std::vector<bool>* seeds, const uint64_t* alive_bits) {
+            const std::vector<uint32_t>& seed_distances,
+            const uint64_t* alive_bits) {
     view = &v;
     options = &o;
-    is_seed = seeds;
+    seed_dist = seed_distances.empty() ? nullptr : seed_distances.data();
     alive = alive_bits;
     on_path.assign(v.num_nodes(), false);
+    start_dist.assign(v.num_nodes(), kFar);
     exec_active = common::CurrentExecContext().active();
   }
 
@@ -94,13 +155,7 @@ struct DfsContext {
     return alive == nullptr || BallPruneAlive(alive, v);
   }
 
-  bool PathTouchesSeed() const {
-    if (is_seed == nullptr) return true;
-    for (uint32_t v : path) {
-      if ((*is_seed)[v]) return true;
-    }
-    return false;
-  }
+  bool IsSeed(uint32_t v) const { return seed_dist[v] == 0; }
 
   /// True when no chord exists: the only adjacencies among path nodes are
   /// the consecutive ones (and the closing edge).
@@ -116,7 +171,7 @@ struct DfsContext {
   }
 
   void Emit() {
-    if (!PathTouchesSeed()) return;
+    if (seed_dist != nullptr && path_seeds == 0) return;
     if (options->chordless_only && path.size() >= 4 && !PathIsChordless()) {
       return;
     }
@@ -131,19 +186,50 @@ struct DfsContext {
     size_t first = std::upper_bound(neighbors.begin(), neighbors.end(), u) -
                    neighbors.begin();
     for (size_t i = first; i < neighbors.size() && !aborted; ++i) {
-      if (mults[i] >= 2 && Alive(neighbors[i])) {
-        path = {u, neighbors[i]};
+      const uint32_t v = neighbors[i];
+      if (mults[i] >= 2 && Alive(v)) {
+        path = {u, v};
+        path_seeds = seed_dist != nullptr && (IsSeed(u) || IsSeed(v));
         Emit();
       }
     }
     path.clear();
+    path_seeds = 0;
+  }
+
+  /// Fills `start_dist` for start `s`: BFS over alive nodes `> s` (the
+  /// only nodes a canonical cycle rooted at `s` may hold), capped at
+  /// ⌊max_length/2⌋ hops — every node of such a cycle lies within that
+  /// many hops of `s` along the cycle itself.
+  void StartBarrier(uint32_t s) {
+    for (uint32_t v : reached) start_dist[v] = kFar;
+    reached.assign(1, s);
+    start_dist[s] = 0;
+    const uint32_t cap = options->max_length / 2;
+    for (size_t head = 0; head < reached.size(); ++head) {
+      const uint32_t u = reached[head];
+      if (start_dist[u] >= cap) break;  // BFS order: the rest sit at the cap
+      std::span<const uint32_t> neighbors = view->Neighbors(u);
+      for (auto it = std::upper_bound(neighbors.begin(), neighbors.end(), s);
+           it != neighbors.end(); ++it) {
+        const uint32_t v = *it;
+        if (start_dist[v] != kFar || !Alive(v)) continue;
+        start_dist[v] = start_dist[u] + 1;
+        reached.push_back(v);
+      }
+      if (head == 0) start_neighbors_end = reached.size();
+    }
   }
 
   /// Canonical DFS rooted at `s` (cycles of length >= 3 whose minimum
-  /// node is `s`).
+  /// node is `s`).  With a seed filter, a start beyond the seed
+  /// barrier's cap lies on no qualifying cycle.
   void DfsForStart(uint32_t s) {
+    if (seed_dist != nullptr && seed_dist[s] == kFar) return;
+    StartBarrier(s);
     path.assign(1, s);
     on_path[s] = true;
+    path_seeds = seed_dist != nullptr && IsSeed(s);
     Extend(s, s);
     on_path[s] = false;
     path.clear();
@@ -174,30 +260,59 @@ struct DfsContext {
       if (aborted) return;
     }
     if (path.size() >= options->max_length) return;
+    const uint64_t budget = options->max_length - path.size();
+    const bool seek_seed = seed_dist != nullptr && path_seeds == 0;
+    if (budget == 1) {
+      // Last hop: only the start's own neighbours (start_dist 1) can
+      // still close the cycle.  When they are fewer than `u`'s candidates,
+      // walk them and search `u`'s row suffix instead — the same nodes in
+      // the same ascending order.
+      std::span<const uint32_t> near(reached.data() + 1,
+                                     start_neighbors_end - 1);
+      if (near.size() < static_cast<size_t>(neighbors.end() - suffix)) {
+        auto it = suffix;
+        for (uint32_t v : near) {
+          it = std::lower_bound(it, neighbors.end(), v);
+          if (it == neighbors.end()) return;
+          if (*it == v && !Descend(start, v, budget, seek_seed)) return;
+        }
+        return;
+      }
+    }
     for (auto it = suffix; it != neighbors.end(); ++it) {
-      uint32_t v = *it;
-      if (on_path[v] || !Alive(v)) continue;
-      path.push_back(v);
-      on_path[v] = true;
-      Extend(start, v);
-      on_path[v] = false;
-      path.pop_back();
-      if (aborted) return;
+      if (!Descend(start, *it, budget, seek_seed)) return;
     }
   }
-};
 
-/// Builds the shared local-id seed mask; empty optional-equivalent is a
-/// null pointer at the call sites.
-std::vector<bool> BuildSeedMask(const UndirectedView& view,
-                                const CycleEnumerationOptions& options) {
-  std::vector<bool> is_seed(view.num_nodes(), false);
-  for (NodeId g : options.seeds) {
-    uint32_t local = view.ToLocal(g);
-    if (local != UINT32_MAX) is_seed[local] = true;
+  /// Pushes `v` unless a distance barrier rules it out, extends, and
+  /// pops; returns false once the enumeration has aborted.
+  ///
+  /// Once `v` joins, `budget` = max_length - |path| more arcs may close
+  /// the cycle.  The way back from `v` to the start takes at least
+  /// `start_dist[v]` arcs.  While the path holds no seed, the rest of the
+  /// cycle must also pass a seed: at least `seed_dist[v] +
+  /// seed_dist[start]` arcs.  Both are lower bounds on the arcs any
+  /// closing walk needs, so a skipped `v` roots a subtree that emits
+  /// nothing.
+  bool Descend(uint32_t start, uint32_t v, uint64_t budget, bool seek_seed) {
+    // Dead nodes are never reached by the BFS, so kFar skips them too.
+    if (on_path[v] || start_dist[v] > budget) return true;
+    const bool seed = seed_dist != nullptr && IsSeed(v);
+    if (seek_seed && !seed &&
+        uint64_t{seed_dist[v]} + seed_dist[start] > budget) {
+      return true;
+    }
+    ++extensions;
+    path.push_back(v);
+    on_path[v] = true;
+    path_seeds += seed;
+    Extend(start, v);
+    path_seeds -= seed;
+    on_path[v] = false;
+    path.pop_back();
+    return !aborted;
   }
-  return is_seed;
-}
+};
 
 /// Runs ball pruning when the options ask for it; `bits` backs the
 /// returned pointer.  Null when pruning is off, the view is empty, or
@@ -316,14 +431,13 @@ bool AppendCapped(const std::vector<uint32_t>& path, size_t max_cycles,
 size_t CycleEnumerator::SequentialVisit(const CycleEnumerationOptions& options,
                                         const CycleVisitor& visitor) const {
   const uint32_t n = view_->num_nodes();
-  std::vector<bool> seed_mask;
-  if (!options.seeds.empty()) seed_mask = BuildSeedMask(*view_, options);
   std::vector<uint64_t> alive_bits;
   const uint64_t* alive = MaybePrune(*view_, options, &alive_bits);
+  const std::vector<uint32_t> seed_dist =
+      SeedDistances(*view_, options, alive);
 
   DfsContext ctx;
-  ctx.Init(*view_, options, options.seeds.empty() ? nullptr : &seed_mask,
-           alive);
+  ctx.Init(*view_, options, seed_dist, alive);
   size_t emitted = 0;
   ctx.sink = [&](const std::vector<uint32_t>& path) {
     ++emitted;
@@ -343,6 +457,7 @@ size_t CycleEnumerator::SequentialVisit(const CycleEnumerationOptions& options,
       if (ctx.Alive(s)) ctx.DfsForStart(s);
     }
   }
+  ExtensionsHistogram()->Record(static_cast<double>(ctx.extensions));
   return emitted;
 }
 
@@ -357,29 +472,30 @@ size_t CycleEnumerator::ParallelVisit(const CycleEnumerationOptions& options,
       BuildChunks(*view_, threads, options.parallel_chunk_starts);
   if (chunks.size() <= 1) return SequentialVisit(options, visitor);
 
-  std::vector<bool> seed_mask;
-  const std::vector<bool>* seeds = nullptr;
-  if (!options.seeds.empty()) {
-    seed_mask = BuildSeedMask(*view_, options);
-    seeds = &seed_mask;
-  }
-  // One shared prune for all workers (read-only after this point); runs
-  // after the sequential fallbacks above so it is never computed twice.
+  // One shared prune and seed barrier for all workers (read-only after
+  // this point); both run after the sequential fallbacks above so they
+  // are never computed twice.
   std::vector<uint64_t> alive_bits;
   const uint64_t* alive = MaybePrune(*view_, options, &alive_bits);
+  const std::vector<uint32_t> seed_dist =
+      SeedDistances(*view_, options, alive);
   const bool want_len2 = options.min_length <= 2 && options.max_length >= 2;
   const bool want_dfs = options.max_length >= 3;
 
   std::vector<ChunkBuffer> buffers(chunks.size());
   std::atomic<size_t> cursor{0};
   PrefixBudget budget(chunks.size(), want_len2);
+  std::atomic<uint64_t> extensions{0};
 
   auto worker = [&] {
     DfsContext ctx;
-    ctx.Init(*view_, options, seeds, alive);
+    ctx.Init(*view_, options, seed_dist, alive);
     for (;;) {
       const size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks.size()) return;
+      if (c >= chunks.size()) {
+        extensions.fetch_add(ctx.extensions, std::memory_order_relaxed);
+        return;
+      }
       ChunkBuffer& out = buffers[c];
       WQE_FAULT_DELAY("graph.enumeration_chunk");
       // Coarse cooperative check per chunk claim: an interrupted worker
@@ -434,6 +550,8 @@ size_t CycleEnumerator::ParallelVisit(const CycleEnumerationOptions& options,
   // join cannot deadlock the pool).
   serve::RunParallel(options.pool,
                      std::min<size_t>(threads - 1, chunks.size() - 1), worker);
+  ExtensionsHistogram()->Record(
+      static_cast<double>(extensions.load(std::memory_order_relaxed)));
 
   // Deterministic merge + replay: all length-2 streams in chunk (= start)
   // order, then all DFS streams — exactly the sequential emission order —

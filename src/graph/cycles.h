@@ -21,6 +21,31 @@
 /// dead `<= start` prefix, and at maximum depth the closing edge is a
 /// single binary search instead of a row scan.
 ///
+/// Distance barriers: the paper's two limits — |C| <= max_length and "the
+/// cycle touches a seed" — are enforced while the path grows, not only at
+/// the leaves.  Every node of a cycle of length <= L lies within ⌊L/2⌋
+/// hops of each other cycle node along the cycle itself, so two BFS passes
+/// capped at ⌊L/2⌋ give lower bounds on how many arcs a path still needs:
+///
+///  - per start `s`, hop distances from `s` over alive nodes above `s`
+///    (the only nodes a canonical cycle rooted at `s` may hold): a
+///    neighbour whose way back to `s` needs more arcs than the length
+///    budget has left cannot close a cycle, and is not pushed;
+///  - once per enumeration, hop distances from the seeds: while the path
+///    holds no seed, the rest of the cycle must reach a seed and then the
+///    start, so a non-seed neighbour `v` is not pushed when
+///    `seed_dist[v] + seed_dist[start]` exceeds the remaining budget.
+///
+/// A node beyond the cap lies on no such cycle and is never pushed.  Both
+/// bounds are shortest-path distances that ignore the path's own nodes,
+/// so they never exceed the arcs any closing walk needs: the barriers
+/// cut only subtrees that emit nothing.  Emission sequence, `max_cycles` truncation and
+/// visitor-abort and deadline prefixes are unchanged at every thread
+/// count (property-checked against an unbarriered reference DFS in
+/// tests/cycles_test.cc).  They are always on.  Each enumeration records
+/// its path extensions (the DFS work) in the
+/// `wqe.graph.enumeration_extensions` histogram.
+///
 /// Parallelism: canonical start nodes are independent units of work, so
 /// the enumerator can shard them into degree-balanced chunks executed on
 /// a `serve::ThreadPool` (work-stealing via an atomic chunk cursor; the
@@ -92,10 +117,10 @@ struct CycleEnumerationOptions {
   /// degrade to sequential — nested fan-out would deadlock a bounded
   /// pool (see serve::ThreadPool::CurrentWorkerPool).
   uint32_t num_threads = 1;
-  /// Pool to run on (borrowed; e.g. `serve::Server`'s).  When null and
-  /// `num_threads > 1`, a transient pool is spawned for the call — fine
-  /// for offline analysis, wasteful per-request; serving-path callers
-  /// pass their own pool.
+  /// Pool to run on (borrowed; e.g. the one `analysis::QueryGraphAnalyzer`
+  /// owns when its `num_threads > 1`).  When null and `num_threads > 1`,
+  /// a transient pool is spawned for the call — fine for one-off
+  /// analysis, wasteful for a caller that enumerates repeatedly.
   serve::ThreadPool* pool = nullptr;
   /// Cap on start nodes per work chunk (0 = auto degree-balanced
   /// chunking, ~8 chunks per thread).  Mainly a testing knob: chunk size

@@ -20,6 +20,7 @@
 #include "graph/cycles.h"
 #include "graph/graph.h"
 #include "graph/undirected_view.h"
+#include "obs/metrics.h"
 #include "serve/thread_pool.h"
 #include "wiki/knowledge_base.h"
 
@@ -574,6 +575,243 @@ TEST_P(PrunedIdentityProperty, AbortPrefixMatchesUnpruned) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrunedIdentityProperty,
                          ::testing::Values(7, 19, 42, 1234, 90210));
+
+// ---- Distance barriers: the kernel's full emission sequence must equal
+// that of a plain DFS that walks every simple path and applies the
+// length, seed and chordless rules only at the leaves (graph/cycles.h
+// explains why the barriers only cut subtrees that emit nothing).
+
+/// Unbarriered reference enumerator in the kernel's canonical order: the
+/// length-2 pass by start, then one DFS per start over the neighbours
+/// above it.  `extensions` counts path pushes, the kernel's work measure.
+struct ReferenceDfs {
+  const UndirectedView& view;
+  const CycleEnumerationOptions& options;
+  std::vector<bool> is_seed;
+  std::vector<bool> on_path;
+  std::vector<uint32_t> path;
+  std::vector<std::vector<uint32_t>> out;
+  uint64_t extensions = 0;
+
+  ReferenceDfs(const UndirectedView& v, const CycleEnumerationOptions& o)
+      : view(v),
+        options(o),
+        is_seed(v.num_nodes(), false),
+        on_path(v.num_nodes(), false) {
+    for (NodeId g : o.seeds) {
+      const uint32_t local = v.ToLocal(g);
+      if (local != UINT32_MAX) is_seed[local] = true;
+    }
+    Run();
+  }
+
+  bool Full() const {
+    return options.max_cycles != 0 && out.size() >= options.max_cycles;
+  }
+
+  void Emit() {
+    if (!options.seeds.empty() &&
+        std::none_of(path.begin(), path.end(),
+                     [&](uint32_t v) { return is_seed[v]; })) {
+      return;
+    }
+    if (options.chordless_only) {
+      for (size_t i = 0; i < path.size(); ++i) {
+        for (size_t j = i + 2; j < path.size(); ++j) {
+          if (i == 0 && j == path.size() - 1) continue;
+          if (view.HasEdge(path[i], path[j])) return;
+        }
+      }
+    }
+    out.push_back(path);
+  }
+
+  void Run() {
+    const uint32_t n = view.num_nodes();
+    if (options.min_length <= 2 && options.max_length >= 2) {
+      for (uint32_t u = 0; u < n && !Full(); ++u) {
+        std::span<const uint32_t> neighbors = view.Neighbors(u);
+        std::span<const uint32_t> mults = view.Multiplicities(u);
+        for (size_t i = 0; i < neighbors.size() && !Full(); ++i) {
+          if (neighbors[i] <= u || mults[i] < 2) continue;
+          path = {u, neighbors[i]};
+          Emit();
+        }
+      }
+    }
+    if (options.max_length < 3) return;
+    for (uint32_t s = 0; s < n && !Full(); ++s) {
+      path = {s};
+      on_path[s] = true;
+      Extend(s);
+      on_path[s] = false;
+    }
+  }
+
+  void Extend(uint32_t start) {
+    const uint32_t u = path.back();
+    if (path.size() >= 3 && path.size() >= options.min_length &&
+        path[1] < u && view.HasEdge(u, start)) {
+      Emit();
+    }
+    if (path.size() >= options.max_length) return;
+    for (uint32_t v : view.Neighbors(u)) {
+      if (Full()) return;
+      if (v <= start || on_path[v]) continue;
+      ++extensions;
+      path.push_back(v);
+      on_path[v] = true;
+      Extend(start);
+      on_path[v] = false;
+      path.pop_back();
+    }
+  }
+};
+
+class BarrierIdentityProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BarrierIdentityProperty, EmissionSequenceMatchesReferenceDfs) {
+  PropertyGraph g = SkewedGraphWithPendants(GetParam(), 16, 6, 110);
+  CsrGraph csr = CsrGraph::Freeze(g);
+  // Every fifth node from 3 on stays out of the view, so seeds 3 and 8
+  // are outside it.
+  std::vector<NodeId> members;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (v % 5 != 3) members.push_back(v);
+  }
+  UndirectedView view(csr, members);
+  CycleEnumerator e(view);
+
+  const std::vector<std::vector<NodeId>> seed_sets = {
+      {},             // no filter
+      {3, 9, 14},     // non-hub seeds, one of them outside the view
+      {3, 8},         // only seeds outside the view: nothing qualifies
+      {0},            // seed-only start: node 0 starts every cycle it is on
+  };
+  size_t nonempty = 0;
+  for (uint32_t max_len = 2; max_len <= 7; ++max_len) {
+    for (bool chordless : {false, true}) {
+      for (const std::vector<NodeId>& seeds : seed_sets) {
+        for (size_t cap : {size_t{0}, size_t{1}, size_t{5}, size_t{17}}) {
+          CycleEnumerationOptions config;
+          config.max_length = max_len;
+          config.chordless_only = chordless;
+          config.seeds = seeds;
+          config.max_cycles = cap;
+          const ReferenceDfs want(view, config);
+          if (!want.out.empty()) ++nonempty;
+          for (bool prune : {false, true}) {
+            for (uint32_t threads : {1u, 4u}) {
+              CycleEnumerationOptions options = config;
+              options.prune_ball = prune;
+              options.num_threads = threads;
+              options.parallel_chunk_starts = threads > 1 ? 1 : 0;
+              std::vector<std::vector<uint32_t>> got;
+              const size_t visited =
+                  e.Visit(options, [&](const std::vector<uint32_t>& c) {
+                    got.push_back(c);
+                    return true;
+                  });
+              EXPECT_EQ(visited, got.size());
+              EXPECT_EQ(want.out, got)
+                  << "max_length=" << max_len << " chordless=" << chordless
+                  << " seeds=" << seeds.size() << " cap=" << cap
+                  << " prune=" << prune << " threads=" << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The matrix must exercise real emissions, not only empty streams.
+  EXPECT_GT(nonempty, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BarrierIdentityProperty,
+                         ::testing::Values(7, 19, 42, 1234, 90210));
+
+TEST(DistanceBarrierTest, RingsThroughEverySeedPositionAreFound) {
+  // A chordless k-ring puts its far side ⌊k/2⌋ hops from every node, so
+  // both barriers' caps are tight here: an off-by-one drops the ring.
+  for (uint32_t k = 3; k <= 7; ++k) {
+    PropertyGraph g;
+    for (uint32_t i = 0; i < k; ++i) g.AddNode(NodeKind::kArticle);
+    for (uint32_t i = 0; i < k; ++i) {
+      ASSERT_TRUE(g.AddEdge(i, (i + 1) % k, EdgeKind::kLink).ok());
+    }
+    CsrGraph csr = CsrGraph::Freeze(g);
+    UndirectedView view(csr);
+    CycleEnumerator e(view);
+    for (NodeId seed = 0; seed < k; ++seed) {
+      for (uint32_t max_len : {k - 1, k, k + 1}) {
+        CycleEnumerationOptions config;
+        config.seeds = {seed};
+        config.max_length = max_len;
+        const ReferenceDfs want(view, config);
+        ASSERT_EQ(want.out.size(), max_len >= k ? 1u : 0u);
+        for (bool prune : {false, true}) {
+          for (uint32_t threads : {1u, 4u}) {
+            CycleEnumerationOptions options = config;
+            options.prune_ball = prune;
+            options.num_threads = threads;
+            options.parallel_chunk_starts = threads > 1 ? 1 : 0;
+            std::vector<std::vector<uint32_t>> got;
+            e.Visit(options, [&](const std::vector<uint32_t>& c) {
+              got.push_back(c);
+              return true;
+            });
+            EXPECT_EQ(want.out, got)
+                << "k=" << k << " seed=" << seed << " max_length=" << max_len
+                << " prune=" << prune << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DistanceBarrierTest, BarriersCutExtensionsBelowReferenceDfs) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  PropertyGraph g = SkewedSchemaGraph(42, 26, 9, 260);
+  CsrGraph csr = CsrGraph::Freeze(g);
+  UndirectedView view(csr);
+  CycleEnumerator e(view);
+  obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
+      "wqe.graph.enumeration_extensions");
+
+  // Pruning off, so only the barriers can explain fewer extensions.
+  auto kernel_extensions = [&](const CycleEnumerationOptions& options,
+                               size_t want_cycles) {
+    const obs::HistogramSnapshot before = histogram->snapshot();
+    EXPECT_EQ(e.Visit(options, [](const std::vector<uint32_t>&) {
+      return true;
+    }), want_cycles);
+    const obs::HistogramSnapshot delta =
+        histogram->snapshot().DeltaSince(before);
+    EXPECT_EQ(delta.count, 1u) << "one record per enumeration";
+    return static_cast<uint64_t>(delta.sum);
+  };
+  CycleEnumerationOptions unseeded;
+  unseeded.prune_ball = false;
+  CycleEnumerationOptions seeded = unseeded;
+  seeded.seeds = {0, 5, 11};
+  const ReferenceDfs unseeded_ref(view, unseeded);
+  const ReferenceDfs seeded_ref(view, seeded);
+  ASSERT_FALSE(seeded_ref.out.empty());
+
+  for (uint32_t threads : {1u, 4u}) {
+    unseeded.num_threads = threads;
+    seeded.num_threads = threads;
+    const uint64_t start_only =
+        kernel_extensions(unseeded, unseeded_ref.out.size());
+    const uint64_t both = kernel_extensions(seeded, seeded_ref.out.size());
+    // The start barrier alone beats the plain DFS; the seed barrier
+    // cuts further on the seeded ball.
+    EXPECT_LT(start_only, unseeded_ref.extensions) << "threads=" << threads;
+    EXPECT_LT(both, start_only) << "threads=" << threads;
+    EXPECT_LT(both, seeded_ref.extensions) << "threads=" << threads;
+  }
+}
 
 TEST(ParallelCycleTest, VisitorAbortPrefixMatchesSequential) {
   PropertyGraph g = CompleteArticleGraph(7);
