@@ -155,7 +155,9 @@ struct DfsContext {
     return alive == nullptr || BallPruneAlive(alive, v);
   }
 
-  bool IsSeed(uint32_t v) const { return seed_dist[v] == 0; }
+  bool IsSeed(uint32_t v) const {
+    return seed_dist != nullptr && seed_dist[v] == 0;
+  }
 
   /// True when no chord exists: the only adjacencies among path nodes are
   /// the consecutive ones (and the closing edge).
@@ -189,7 +191,7 @@ struct DfsContext {
       const uint32_t v = neighbors[i];
       if (mults[i] >= 2 && Alive(v)) {
         path = {u, v};
-        path_seeds = seed_dist != nullptr && (IsSeed(u) || IsSeed(v));
+        path_seeds = IsSeed(u) || IsSeed(v);
         Emit();
       }
     }
@@ -229,7 +231,7 @@ struct DfsContext {
     StartBarrier(s);
     path.assign(1, s);
     on_path[s] = true;
-    path_seeds = seed_dist != nullptr && IsSeed(s);
+    path_seeds = IsSeed(s);
     Extend(s, s);
     on_path[s] = false;
     path.clear();
@@ -297,7 +299,7 @@ struct DfsContext {
   bool Descend(uint32_t start, uint32_t v, uint64_t budget, bool seek_seed) {
     // Dead nodes are never reached by the BFS, so kFar skips them too.
     if (on_path[v] || start_dist[v] > budget) return true;
-    const bool seed = seed_dist != nullptr && IsSeed(v);
+    const bool seed = IsSeed(v);
     if (seek_seed && !seed &&
         uint64_t{seed_dist[v]} + seed_dist[start] > budget) {
       return true;
