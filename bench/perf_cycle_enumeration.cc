@@ -13,7 +13,7 @@
 /// in-binary on identical input.
 ///
 /// The parallel variants sweep the enumeration across 1/2/4/8 threads on
-/// a shared `serve::ThreadPool` (the E9 lever: canonical start ranges are
+/// a shared `common::ThreadPool` (the E9 lever: canonical start ranges are
 /// independent), hard-asserting before timing that every thread count
 /// produces the bit-identical canonical cycle sequence the sequential
 /// enumerator does.
@@ -38,10 +38,10 @@
 
 #include "bench/bench_common.h"
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "graph/csr.h"
 #include "graph/cycles.h"
 #include "graph/undirected_view.h"
-#include "serve/thread_pool.h"
 #include "wiki/synthetic.h"
 
 namespace {
@@ -269,9 +269,9 @@ void BM_CycleEnumerationBallParallel(benchmark::State& state) {
   options.num_threads = threads;
   // One long-lived pool, as a serving deployment would run: caller +
   // (threads - 1) workers enumerate.
-  std::unique_ptr<serve::ThreadPool> pool;
+  std::unique_ptr<common::ThreadPool> pool;
   if (threads > 1) {
-    pool = std::make_unique<serve::ThreadPool>(threads - 1);
+    pool = std::make_unique<common::ThreadPool>(threads - 1);
     options.pool = pool.get();
   }
 

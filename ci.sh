@@ -100,7 +100,9 @@ EOF
 # stress) and trace propagation across pool tasks; snapshot_test for hot
 # republish under live traffic (epoch swap + cache generation churn);
 # analysis_test for the analyzer's owned pool (topic fan-out, in-ball
-# enumeration + metrics batches, pool reuse across AnalyzeAll calls).
+# enumeration + metrics batches, pool reuse across AnalyzeAll calls);
+# common_test for the thread pool itself and the request context it
+# carries across the hop.
 # (The asan lane below runs the full ctest suite, so both already cover
 # obs_test there.)
 run_tsan() {
@@ -109,7 +111,7 @@ run_tsan() {
     -DCMAKE_BUILD_TYPE=Debug \
     -DWQE_BUILD_BENCHES=OFF -DWQE_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j
-  (cd build-tsan && ctest --output-on-failure -R 'serve_test|api_test|cycles_test|obs_test|ball_prune_test|chaos_test|snapshot_test|analysis_test')
+  (cd build-tsan && ctest --output-on-failure -R 'common_test|serve_test|api_test|cycles_test|obs_test|ball_prune_test|chaos_test|snapshot_test|analysis_test')
   set +x
 }
 

@@ -7,8 +7,8 @@
 #include <unordered_set>
 
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "groundtruth/xq_optimizer.h"
-#include "serve/thread_pool.h"
 
 namespace wqe::analysis {
 
@@ -30,7 +30,7 @@ QueryGraphAnalyzer::QueryGraphAnalyzer(const groundtruth::Pipeline* pipeline,
   // Sized one short of the knob: callers participate in their own
   // fan-out (caller + workers = num_threads analyzing threads).
   if (options_.num_threads > 1) {
-    pool_ = std::make_unique<serve::ThreadPool>(options_.num_threads - 1);
+    pool_ = std::make_unique<common::ThreadPool>(options_.num_threads - 1);
   }
 }
 
@@ -41,7 +41,7 @@ Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
 }
 
 Result<TopicAnalysis> QueryGraphAnalyzer::AnalyzeImpl(
-    size_t topic_index, uint32_t num_threads, serve::ThreadPool* pool) const {
+    size_t topic_index, uint32_t num_threads, common::ThreadPool* pool) const {
   if (topic_index >= gt_->entries.size()) {
     return Status::OutOfRange("topic index ", topic_index, " out of range");
   }
@@ -203,7 +203,7 @@ Result<TopicAnalysis> QueryGraphAnalyzer::AnalyzeImpl(
 Result<std::vector<TopicAnalysis>> QueryGraphAnalyzer::AnalyzeAll() const {
   const size_t num_topics = gt_->entries.size();
   const uint32_t threads =
-      serve::EffectiveParallelism(options_.num_threads, pool_.get());
+      common::EffectiveParallelism(options_.num_threads, pool_.get());
   if (threads <= 1 || num_topics < 2) {
     std::vector<TopicAnalysis> out;
     out.reserve(num_topics);
@@ -225,15 +225,15 @@ Result<std::vector<TopicAnalysis>> QueryGraphAnalyzer::AnalyzeAll() const {
   std::vector<Result<TopicAnalysis>> results(
       num_topics, Result<TopicAnalysis>(TopicAnalysis{}));
   std::atomic<size_t> cursor{0};
-  serve::RunParallel(pool_.get(),
-                     std::min<size_t>(threads - 1, num_topics - 1), [&] {
-                       for (;;) {
-                         const size_t t =
-                             cursor.fetch_add(1, std::memory_order_relaxed);
-                         if (t >= num_topics) return;
-                         results[t] = AnalyzeImpl(t, 1, nullptr);
-                       }
-                     });
+  common::RunParallel(pool_.get(),
+                      std::min<size_t>(threads - 1, num_topics - 1), [&] {
+                        for (;;) {
+                          const size_t t =
+                              cursor.fetch_add(1, std::memory_order_relaxed);
+                          if (t >= num_topics) return;
+                          results[t] = AnalyzeImpl(t, 1, nullptr);
+                        }
+                      });
 
   std::vector<TopicAnalysis> out;
   out.reserve(num_topics);

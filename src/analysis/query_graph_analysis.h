@@ -23,9 +23,9 @@
 #include "groundtruth/ground_truth.h"
 #include "groundtruth/pipeline.h"
 
-namespace wqe::serve {
+namespace wqe::common {
 class ThreadPool;  // fwd: the analyzer owns its fan-out pool
-}  // namespace wqe::serve
+}  // namespace wqe::common
 
 namespace wqe::analysis {
 
@@ -96,7 +96,7 @@ class QueryGraphAnalyzer {
   QueryGraphAnalyzer(const groundtruth::Pipeline* pipeline,
                      const groundtruth::GroundTruth* gt,
                      AnalyzerOptions options = {});
-  /// Out of line: owns a forward-declared `serve::ThreadPool`.
+  /// Out of line: owns a forward-declared `common::ThreadPool`.
   ~QueryGraphAnalyzer();
 
   /// \brief Full analysis of one topic.
@@ -116,12 +116,12 @@ class QueryGraphAnalyzer {
   /// thread — analyzes its topics sequentially instead of contending for
   /// the pool the fan-out itself saturates.
   Result<TopicAnalysis> AnalyzeImpl(size_t topic_index, uint32_t num_threads,
-                                    serve::ThreadPool* pool) const;
+                                    common::ThreadPool* pool) const;
 
   const groundtruth::Pipeline* pipeline_;
   const groundtruth::GroundTruth* gt_;
   AnalyzerOptions options_;  ///< `num_threads` resolved: never 0
-  std::unique_ptr<serve::ThreadPool> pool_;  ///< null when sequential
+  std::unique_ptr<common::ThreadPool> pool_;  ///< null when sequential
 };
 
 }  // namespace wqe::analysis

@@ -230,8 +230,8 @@ Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
 }
 
 Result<ExpandResponse> Engine::Expand(const ExpandRequest& request) const {
-  common::ScopedExecContext exec_scope(
-      common::ExecContext::ForRequest(request.deadline_ms, request.cancel));
+  common::ScopedRequestContext exec_scope(
+      common::RequestContext::ForRequest(request.deadline_ms, request.cancel));
   // Pin the graph epoch for the whole request: a concurrent
   // PublishSnapshot cannot swap the graph out from under the expansion.
   std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
@@ -243,8 +243,8 @@ Result<ExpandResponse> Engine::Expand(const ExpandRequest& request) const {
 }
 
 Result<QueryResponse> Engine::Query(const QueryRequest& request) const {
-  common::ScopedExecContext exec_scope(
-      common::ExecContext::ForRequest(request.deadline_ms, request.cancel));
+  common::ScopedRequestContext exec_scope(
+      common::RequestContext::ForRequest(request.deadline_ms, request.cancel));
   std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
   std::map<std::string, std::unique_ptr<expansion::Expander>> cache;
   WQE_ASSIGN_OR_RETURN(
@@ -267,9 +267,9 @@ Result<std::vector<ExpandResponse>> Engine::ExpandBatch(
     // Budgets are per request: each iteration installs (and on exit
     // removes) its own request's context, so one expired deadline never
     // bleeds into its batch neighbors.
-    common::ScopedExecContext exec_scope(
-        common::ExecContext::ForRequest(requests[i].deadline_ms,
-                                        requests[i].cancel));
+    common::ScopedRequestContext exec_scope(
+        common::RequestContext::ForRequest(requests[i].deadline_ms,
+                                           requests[i].cancel));
     auto resolved = ResolveExpander(*snapshot, requests[i].expander,
                                     requests[i].overrides, &cache);
     if (!resolved.ok()) {
@@ -295,9 +295,9 @@ Result<std::vector<QueryResponse>> Engine::QueryBatch(
   std::vector<QueryResponse> responses;
   responses.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    common::ScopedExecContext exec_scope(
-        common::ExecContext::ForRequest(requests[i].deadline_ms,
-                                        requests[i].cancel));
+    common::ScopedRequestContext exec_scope(
+        common::RequestContext::ForRequest(requests[i].deadline_ms,
+                                           requests[i].cancel));
     auto resolved = ResolveExpander(*snapshot, requests[i].expander,
                                     requests[i].overrides, &cache);
     if (!resolved.ok()) {

@@ -6,7 +6,7 @@ namespace wqe::common {
 
 namespace {
 
-thread_local ExecContext g_exec_context;
+thread_local RequestContext t_request_context;
 
 }  // namespace
 
@@ -33,31 +33,31 @@ double Deadline::remaining_ms() const {
       .count();
 }
 
-ExecContext ExecContext::ForRequest(double deadline_ms,
-                                    const CancelToken& cancel) {
-  ExecContext request;
+RequestContext RequestContext::ForRequest(double deadline_ms,
+                                          const CancelToken& cancel) {
+  RequestContext request;
   if (deadline_ms > 0.0) request.deadline = Deadline::AfterMillis(deadline_ms);
   request.cancel = cancel;
-  return Merge(g_exec_context, request);
+  return Merge(t_request_context, request);
 }
 
-const ExecContext& CurrentExecContext() { return g_exec_context; }
+const RequestContext& CurrentRequestContext() { return t_request_context; }
 
-ExecContext ExchangeCurrentExecContext(ExecContext ctx) {
-  ExecContext previous = std::move(g_exec_context);
-  g_exec_context = std::move(ctx);
+RequestContext ExchangeCurrentRequestContext(RequestContext ctx) {
+  RequestContext previous = std::move(t_request_context);
+  t_request_context = std::move(ctx);
   return previous;
 }
 
 bool ExecInterrupted() {
-  const ExecContext& ctx = g_exec_context;
+  const RequestContext& ctx = t_request_context;
   // Cheap checks first: a relaxed flag load beats a clock read.
   if (ctx.cancel.cancelled()) return true;
   return ctx.deadline.expired();
 }
 
 Status ExecStatus() {
-  const ExecContext& ctx = g_exec_context;
+  const RequestContext& ctx = t_request_context;
   if (ctx.cancel.cancelled()) return Status::Cancelled("request cancelled");
   if (ctx.deadline.expired()) {
     return Status::DeadlineExceeded("request deadline exceeded");

@@ -1,17 +1,19 @@
 #pragma once
 
 /// \file deadline.h
-/// \brief Deadlines, cooperative cancellation, and the thread-local
-/// execution context that carries them.
+/// \brief Deadlines, cooperative cancellation, and the one thread-local
+/// request context that carries them together with the trace position.
 ///
-/// Mirrors the layering of `common/trace.h`: the minimal request-budget
-/// state — (deadline, cancel token) — lives at the bottom of the tree so
-/// the graph kernels can poll it without depending on the serving layer
-/// above them.  `serve::ThreadPool` captures the caller's `ExecContext`
-/// at submit time and reinstalls it inside the task (exactly as it does
-/// for `TraceContext`), so budgets follow requests across pool hops and
-/// the parallel enumeration workers see the deadline of the request that
-/// spawned them.
+/// A request's ambient state is one `RequestContext`: where it is in its
+/// trace (trace id, innermost open span, sampling decision) and its budget
+/// (deadline, cancel token).  It lives at the bottom of the layering so the
+/// graph kernels can poll the budget, and `common/logging.cc` can tag log
+/// lines with the trace id, without depending on the layers above them.
+/// `obs::Span` (obs/trace.h) moves the trace position as spans open and
+/// close; `common::ThreadPool` copies the submitter's whole context once at
+/// submit time and installs it around the task, so traces and budgets
+/// follow a request across pool hops and the parallel enumeration workers
+/// see the deadline of the request that spawned them.
 ///
 /// Cooperative checks are deliberately cheap: when no deadline is set and
 /// no cancel token is attached, `ExecInterrupted()` is a thread-local
@@ -19,8 +21,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "common/status.h"
 
@@ -113,23 +117,42 @@ class CancelSource {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-/// \brief The ambient execution budget of the calling thread: how long
-/// the current request may keep running, and whether its caller has
+/// \brief A request's position in its trace.  A zero trace id means "no
+/// trace in scope".
+struct TracePosition {
+  uint64_t trace_id = 0;
+  uint64_t span_id = 0;  ///< innermost open span (0 at a trace root)
+  /// Head-sampling decision, made once at the trace root and inherited
+  /// by every child span (Dapper-style consistent sampling): only
+  /// sampled traces append `SpanRecord`s to the trace log.  Latency
+  /// histograms are unaffected — they record every request.
+  bool sampled = false;
+
+  bool active() const { return trace_id != 0; }
+};
+
+/// \brief The ambient state of the calling thread's request: its trace
+/// position, how long it may keep running, and whether its caller has
 /// asked it to stop.
-struct ExecContext {
+struct RequestContext {
+  TracePosition trace;
   Deadline deadline;
   CancelToken cancel;
 
-  /// \brief True iff there is anything to check (finite deadline or an
-  /// attached cancel token).  The inactive fast path is branch-only.
-  bool active() const { return !deadline.is_infinite() || cancel.valid(); }
+  /// \brief True iff there is a budget to check (finite deadline or an
+  /// attached cancel token).  The budget-free fast path is branch-only.
+  bool has_budget() const {
+    return !deadline.is_infinite() || cancel.valid();
+  }
 
   /// \brief Combines an inherited (ambient) context with a per-request
-  /// one: the tighter deadline wins, and the request's cancel token
-  /// takes precedence when it has one.
-  static ExecContext Merge(const ExecContext& ambient,
-                           const ExecContext& request) {
-    ExecContext out;
+  /// one: the trace position is the ambient one, the tighter deadline
+  /// wins, and the request's cancel token takes precedence when it has
+  /// one.
+  static RequestContext Merge(const RequestContext& ambient,
+                              const RequestContext& request) {
+    RequestContext out;
+    out.trace = ambient.trace;
     out.deadline = Deadline::Tighten(ambient.deadline, request.deadline);
     out.cancel = request.cancel.valid() ? request.cancel : ambient.cancel;
     return out;
@@ -138,32 +161,36 @@ struct ExecContext {
   /// \brief The context one request should run under: its own budget
   /// (`deadline_ms > 0` starts a deadline now; 0 means none) and cancel
   /// token, merged with the calling thread's ambient context so the
-  /// tighter deadline wins and a caller's budget cannot be loosened.
-  static ExecContext ForRequest(double deadline_ms, const CancelToken& cancel);
+  /// request stays in the caller's trace, the tighter deadline wins and
+  /// a caller's budget cannot be loosened.
+  static RequestContext ForRequest(double deadline_ms,
+                                   const CancelToken& cancel);
 };
 
-/// \brief The calling thread's current execution context (infinite /
-/// no-token when none has been installed).
-const ExecContext& CurrentExecContext();
+/// \brief The calling thread's current request context (no trace,
+/// infinite deadline, no token when none has been installed).
+const RequestContext& CurrentRequestContext();
 
 /// \brief Installs `ctx` as the calling thread's context and returns the
 /// previous one.  Callers restore the returned value when their scope
-/// ends (`ScopedExecContext` does this via RAII).
-ExecContext ExchangeCurrentExecContext(ExecContext ctx);
+/// ends (`ScopedRequestContext` and `obs::Span` do this via RAII).
+RequestContext ExchangeCurrentRequestContext(RequestContext ctx);
 
-/// \brief RAII installer for an `ExecContext`, restoring the previous
-/// context on destruction.  Mirrors `obs::ScopedTraceContext`.
-class ScopedExecContext {
+/// \brief RAII installer for a `RequestContext`, restoring the previous
+/// context on destruction.
+class ScopedRequestContext {
  public:
-  explicit ScopedExecContext(ExecContext ctx)
-      : previous_(ExchangeCurrentExecContext(std::move(ctx))) {}
-  ~ScopedExecContext() { ExchangeCurrentExecContext(std::move(previous_)); }
+  explicit ScopedRequestContext(RequestContext ctx)
+      : previous_(ExchangeCurrentRequestContext(std::move(ctx))) {}
+  ~ScopedRequestContext() {
+    ExchangeCurrentRequestContext(std::move(previous_));
+  }
 
-  ScopedExecContext(const ScopedExecContext&) = delete;
-  ScopedExecContext& operator=(const ScopedExecContext&) = delete;
+  ScopedRequestContext(const ScopedRequestContext&) = delete;
+  ScopedRequestContext& operator=(const ScopedRequestContext&) = delete;
 
  private:
-  ExecContext previous_;
+  RequestContext previous_;
 };
 
 /// \brief True iff the ambient context wants the current work to stop

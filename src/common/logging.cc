@@ -7,7 +7,7 @@
 #include <cstring>
 #include <iostream>
 
-#include "common/trace.h"
+#include "common/deadline.h"
 
 namespace wqe {
 
@@ -92,8 +92,8 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
   if (enabled_) {
     stream_ << "[" << LevelName(level) << " " << Basename(file) << ":" << line;
     // Tag with the active trace so one request's lines correlate across
-    // threads (the serve pool re-installs the submitter's context).
-    const common::TraceContext& ctx = common::CurrentTraceContext();
+    // threads (the pool re-installs the submitter's context).
+    const common::TracePosition& ctx = common::CurrentRequestContext().trace;
     if (ctx.active()) {
       char trace[32];
       std::snprintf(trace, sizeof(trace), " trace=%016llx",

@@ -10,7 +10,7 @@
 /// first use (`debug`/`info`/`warning`/`error`, case-insensitive, or
 /// 0–3); an explicit `SetLogLevel` call wins over the environment
 /// regardless of ordering.  When a trace is in scope (see
-/// common/trace.h and obs/trace.h), log lines carry its id:
+/// common/deadline.h and obs/trace.h), log lines carry its id:
 ///
 ///   [INFO server.cc:42 trace=1b2e9d0c4f5a6b7c] served request
 

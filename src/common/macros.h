@@ -22,7 +22,7 @@
 /// Usage: guard fields with `WQE_GUARDED_BY(mu_)`, annotate members that
 /// are called with a lock held with `WQE_REQUIRES(mu_)`, and members
 /// that take the lock themselves with `WQE_EXCLUDES(mu_)`.  See
-/// `serve::ThreadPool` for a worked example and README "Correctness
+/// `common::ThreadPool` for a worked example and README "Correctness
 /// tooling" for the how-to.
 /// @{
 

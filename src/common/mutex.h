@@ -9,7 +9,7 @@
 /// extra state — carry the `capability` / `scoped_lockable` attributes
 /// (via the `WQE_*` macros in common/macros.h) that make locking
 /// contracts compile errors under Clang instead of header comments.
-/// Everything concurrency-bearing (`serve::ThreadPool`,
+/// Everything concurrency-bearing (`common::ThreadPool`,
 /// `serve::ExpansionCache`, `serve::Server`, the parallel enumerator's
 /// shared state) locks through these.
 ///

@@ -3,8 +3,10 @@
 /// \file thread_pool.h
 /// \brief Fixed-size worker pool with task futures and graceful shutdown.
 ///
-/// The serving layer's unit of concurrency: `serve::Server` fans batched
-/// requests across one of these.  Deliberately minimal — a mutex-guarded
+/// The library's one unit of concurrency: `serve::Server` fans requests
+/// across one of these, and the parallel kernels (cycle enumeration,
+/// metrics batches, topic analysis) fan their chunks across one through
+/// `RunParallel`.  Deliberately minimal — a mutex-guarded
 /// FIFO and `std::packaged_task` futures — because the tasks it runs
 /// (entity linking + cycle enumeration + retrieval) are milliseconds-long,
 /// so queue contention is noise.  Work-stealing deques and similar
@@ -24,7 +26,7 @@
 #include "common/macros.h"
 #include "common/mutex.h"
 
-namespace wqe::serve {
+namespace wqe::common {
 
 /// \brief Fixed-size thread pool.  Thread-safe: any thread may Submit.
 class ThreadPool {
@@ -46,14 +48,11 @@ class ThreadPool {
   /// classic pool self-deadlock); the serving layer never does — workers
   /// run leaf work only.
   ///
-  /// Observability: the submitter's `common::TraceContext` is captured
-  /// here and re-installed for the task's duration, so spans opened
-  /// inside the task parent under the submitting request; the
-  /// enqueue→dequeue gap is recorded as a `queue-wait` span and into the
-  /// `wqe.serve.queue_wait_ms` histogram (see Enqueue).  The submitter's
-  /// `common::ExecContext` (deadline + cancel token) is propagated the
-  /// same way, so cooperative checks inside the task see the budget of
-  /// the request that submitted it.
+  /// The submitter's `RequestContext` (common/deadline.h) is copied here
+  /// once and installed for the task's duration, so spans opened inside
+  /// the task parent under the submitting request and cooperative checks
+  /// see its deadline and cancel token.  The pool times nothing: a caller
+  /// that wants the queue wait (`serve::Server`) measures it itself.
   template <typename F>
   auto Submit(F&& fn) WQE_EXCLUDES(mu_)
       -> std::future<std::invoke_result_t<std::decay_t<F>>> {
@@ -99,15 +98,14 @@ class ThreadPool {
   bool OnWorkerThread() const { return CurrentWorkerPool() == this; }
 
  private:
-  /// Type-erased submit: wraps `fn` with trace-context propagation and
-  /// queue-wait accounting, then queues it.  Out of line so the
-  /// template stays free of observability plumbing.
+  /// Type-erased submit: wraps `fn` with request-context propagation,
+  /// then queues it.  Out of line so the template stays small.
   void Enqueue(std::function<void()> fn) WQE_EXCLUDES(mu_);
 
   void WorkerLoop() WQE_EXCLUDES(mu_);
 
-  mutable common::Mutex mu_;
-  common::CondVar cv_;
+  mutable Mutex mu_;
+  CondVar cv_;
   std::deque<std::function<void()>> queue_ WQE_GUARDED_BY(mu_);
   /// Owned by construction and by Shutdown; never touched by workers.
   /// Guarded by shutdown_mu_, which serializes whole shutdowns —
@@ -115,7 +113,7 @@ class ThreadPool {
   /// that order; no other path holds both).
   std::vector<std::thread> workers_ WQE_GUARDED_BY(shutdown_mu_);
   size_t num_threads_ = 0;
-  common::Mutex shutdown_mu_;
+  Mutex shutdown_mu_;
   bool shutdown_ WQE_GUARDED_BY(mu_) = false;
   std::atomic<size_t> tasks_executed_{0};
 };
@@ -149,4 +147,4 @@ void RunParallel(ThreadPool* pool, size_t extra,
 
 /// @}
 
-}  // namespace wqe::serve
+}  // namespace wqe::common

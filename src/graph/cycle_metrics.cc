@@ -4,7 +4,7 @@
 #include <atomic>
 #include <vector>
 
-#include "serve/thread_pool.h"
+#include "common/thread_pool.h"
 
 namespace wqe::graph {
 
@@ -71,9 +71,9 @@ CycleMetrics ComputeCycleMetrics(const CsrGraph& graph, const Cycle& cycle) {
 
 std::vector<CycleMetrics> ComputeCycleMetricsBatch(
     const CsrGraph& graph, const std::vector<Cycle>& cycles,
-    uint32_t num_threads, serve::ThreadPool* pool) {
+    uint32_t num_threads, common::ThreadPool* pool) {
   std::vector<CycleMetrics> out(cycles.size());
-  const uint32_t threads = serve::EffectiveParallelism(num_threads, pool);
+  const uint32_t threads = common::EffectiveParallelism(num_threads, pool);
   // Per-cycle work is microseconds; don't shard tiny batches.
   constexpr size_t kBlock = 64;
   if (threads <= 1 || cycles.size() < 2 * kBlock) {
@@ -84,7 +84,7 @@ std::vector<CycleMetrics> ComputeCycleMetricsBatch(
   }
 
   std::atomic<size_t> cursor{0};
-  serve::RunParallel(
+  common::RunParallel(
       pool, std::min<size_t>(threads - 1, cycles.size() / kBlock), [&] {
         for (;;) {
           const size_t begin =

@@ -50,7 +50,7 @@ CycleMetrics ComputeCycleMetrics(const CsrGraph& graph, const Cycle& cycle);
 /// per-topic metric computation off the critical path of large balls.
 std::vector<CycleMetrics> ComputeCycleMetricsBatch(
     const CsrGraph& graph, const std::vector<Cycle>& cycles,
-    uint32_t num_threads = 1, serve::ThreadPool* pool = nullptr);
+    uint32_t num_threads = 1, common::ThreadPool* pool = nullptr);
 
 /// \brief E(C): edges of `graph` with both endpoints in `nodes`, redirects
 /// excluded.  Each directed edge counts once (mutual links count twice).

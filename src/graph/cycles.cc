@@ -6,10 +6,10 @@
 #include "common/deadline.h"
 #include "common/fault_injection.h"
 #include "common/mutex.h"
+#include "common/thread_pool.h"
 #include "graph/ball_prune.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/thread_pool.h"
 
 namespace wqe::graph {
 
@@ -111,7 +111,7 @@ struct DfsContext {
   /// requested.  Distinct from `aborted` (which a visitor can also set)
   /// so the parallel path can tell a truncated chunk from a capped one.
   bool interrupted = false;
-  /// Whether the ambient ExecContext has anything to check; cached at
+  /// Whether the ambient request context has a budget to check; cached at
   /// Init so the (overwhelmingly common) no-deadline path costs one
   /// branch per check site.
   bool exec_active = false;
@@ -129,7 +129,7 @@ struct DfsContext {
     alive = alive_bits;
     on_path.assign(v.num_nodes(), false);
     start_dist.assign(v.num_nodes(), kFar);
-    exec_active = common::CurrentExecContext().active();
+    exec_active = common::CurrentRequestContext().has_budget();
   }
 
   /// Countdown-gated cooperative check: consults the clock / cancel flag
@@ -466,7 +466,7 @@ size_t CycleEnumerator::SequentialVisit(const CycleEnumerationOptions& options,
 size_t CycleEnumerator::ParallelVisit(const CycleEnumerationOptions& options,
                                       const CycleVisitor& visitor) const {
   const uint32_t threads =
-      serve::EffectiveParallelism(options.num_threads, options.pool);
+      common::EffectiveParallelism(options.num_threads, options.pool);
   const uint32_t n = view_->num_nodes();
   if (threads <= 1 || n < 2) return SequentialVisit(options, visitor);
 
@@ -550,8 +550,8 @@ size_t CycleEnumerator::ParallelVisit(const CycleEnumerationOptions& options,
   // caller's pool or a transient one (EffectiveParallelism has already
   // guaranteed this thread is not a pool worker, so blocking on the
   // join cannot deadlock the pool).
-  serve::RunParallel(options.pool,
-                     std::min<size_t>(threads - 1, chunks.size() - 1), worker);
+  common::RunParallel(options.pool,
+                      std::min<size_t>(threads - 1, chunks.size() - 1), worker);
   ExtensionsHistogram()->Record(
       static_cast<double>(extensions.load(std::memory_order_relaxed)));
 
@@ -611,7 +611,7 @@ CycleVisitor CollectInto(const UndirectedView& view, std::vector<Cycle>* out) {
 size_t CycleEnumerator::Visit(const CycleEnumerationOptions& options,
                               const CycleVisitor& visitor) const {
   obs::Span span("enumeration", EnumerationHistogram());
-  if (serve::EffectiveParallelism(options.num_threads, options.pool) > 1) {
+  if (common::EffectiveParallelism(options.num_threads, options.pool) > 1) {
     return ParallelVisit(options, visitor);
   }
   return SequentialVisit(options, visitor);

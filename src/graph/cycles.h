@@ -48,13 +48,13 @@
 ///
 /// Parallelism: canonical start nodes are independent units of work, so
 /// the enumerator can shard them into degree-balanced chunks executed on
-/// a `serve::ThreadPool` (work-stealing via an atomic chunk cursor; the
+/// a `common::ThreadPool` (work-stealing via an atomic chunk cursor; the
 /// calling thread participates).  Per-chunk cycle buffers are merged in
 /// start-node order, so parallel output — including `max_cycles`
 /// truncation and visitor-abort semantics — is bit-identical to the
 /// sequential enumerator at every thread count.  Enumeration requested
 /// from a pool worker degrades to sequential instead of deadlocking on
-/// pool capacity (see `serve::ThreadPool::CurrentWorkerPool`).
+/// pool capacity (see `common::ThreadPool::CurrentWorkerPool`).
 
 #include <cstdint>
 #include <functional>
@@ -63,13 +63,9 @@
 #include "graph/graph.h"
 #include "graph/undirected_view.h"
 
-// Deliberate graph/ -> serve/ edge (one static library, no build cycle):
-// the pool and the degrade-aware fan-out policy live with the serving
-// layer that owns process-wide threading, and the enumerator executes on
-// them rather than growing a second threading runtime here.
-namespace wqe::serve {
-class ThreadPool;
-}  // namespace wqe::serve
+namespace wqe::common {
+class ThreadPool;  // fwd: common/thread_pool.h
+}  // namespace wqe::common
 
 namespace wqe::graph {
 
@@ -115,13 +111,13 @@ struct CycleEnumerationOptions {
   /// 0 = auto (the pool's worker count + 1 when `pool` is set, otherwise
   /// one per hardware thread).  Requests from a pool worker thread always
   /// degrade to sequential — nested fan-out would deadlock a bounded
-  /// pool (see serve::ThreadPool::CurrentWorkerPool).
+  /// pool (see common::ThreadPool::CurrentWorkerPool).
   uint32_t num_threads = 1;
   /// Pool to run on (borrowed; e.g. the one `analysis::QueryGraphAnalyzer`
   /// owns when its `num_threads > 1`).  When null and `num_threads > 1`,
   /// a transient pool is spawned for the call — fine for one-off
   /// analysis, wasteful for a caller that enumerates repeatedly.
-  serve::ThreadPool* pool = nullptr;
+  common::ThreadPool* pool = nullptr;
   /// Cap on start nodes per work chunk (0 = auto degree-balanced
   /// chunking, ~8 chunks per thread).  Mainly a testing knob: chunk size
   /// 1 maximizes interleaving, the adversarial case for merge order.

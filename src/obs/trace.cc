@@ -57,6 +57,15 @@ namespace {
 
 std::atomic<uint32_t> g_sample_every{8};
 
+/// Replaces the trace position of the calling thread's request context
+/// and leaves its budget alone.  Moves rather than copies, so a span does
+/// not touch the cancel token's reference count.
+void SetCurrentTrace(const common::TracePosition& trace) {
+  common::RequestContext ctx = common::ExchangeCurrentRequestContext({});
+  ctx.trace = trace;
+  common::ExchangeCurrentRequestContext(std::move(ctx));
+}
+
 /// The root-only sampling decision (children inherit their parent's).
 bool SampleRoot() {
   const uint32_t n = g_sample_every.load(std::memory_order_relaxed);
@@ -85,7 +94,7 @@ Span::Span(const char* stage, Histogram* latency, MetricsRegistry* registry)
     : stage_(stage), latency_(latency), registry_(registry) {
   if (!Enabled()) return;
   active_ = true;
-  parent_ = common::CurrentTraceContext();
+  parent_ = common::CurrentRequestContext().trace;
   if (parent_.active()) {
     ctx_.trace_id = parent_.trace_id;
     ctx_.sampled = parent_.sampled;
@@ -94,7 +103,7 @@ Span::Span(const char* stage, Histogram* latency, MetricsRegistry* registry)
     ctx_.sampled = SampleRoot();
   }
   ctx_.span_id = NewSpanId();
-  common::ExchangeCurrentTraceContext(ctx_);
+  SetCurrentTrace(ctx_);
   start_ = std::chrono::steady_clock::now();
 }
 
@@ -103,7 +112,7 @@ Span::~Span() {
   const auto end = std::chrono::steady_clock::now();
   const double duration_ms =
       std::chrono::duration<double, std::milli>(end - start_).count();
-  common::ExchangeCurrentTraceContext(parent_);
+  SetCurrentTrace(parent_);
   if (latency_ != nullptr) latency_->Record(duration_ms);
   if (!ctx_.sampled) return;
   SpanRecord record;

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file trace.h
-/// \brief Lightweight request tracing: spans over the ambient
-/// `common::TraceContext`.
+/// \brief Lightweight request tracing: spans over the trace position of
+/// the ambient `common::RequestContext`.
 ///
 /// A `Span` marks one stage of one request: it captures the calling
 /// thread's trace context as its parent (starting a fresh trace when none
@@ -12,10 +12,11 @@
 /// optionally recording the duration into a latency `Histogram`.
 ///
 /// Propagation is implicit: anything called under an open span (engine →
-/// expander → `graph::CycleEnumerator`) sees the context via the
-/// thread-local carrier in common/trace.h, `serve::ThreadPool::Submit`
-/// re-installs the submitter's context inside the task (and logs the
-/// queue wait as its own span), and `WQE_LOG` lines carry the trace id.
+/// expander → `graph::CycleEnumerator`) sees the context via the one
+/// thread-local carrier in common/deadline.h, `common::ThreadPool::Submit`
+/// re-installs the submitter's context inside the task, and `WQE_LOG`
+/// lines carry the trace id.  A span moves only the trace position; the
+/// request's budget (deadline, cancel token) is left as it was.
 ///
 /// Cost: two steady-clock reads and a histogram record per span, plus an
 /// allocation-free locked ring append on head-sampled traces only (see
@@ -28,7 +29,7 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/trace.h"
+#include "common/deadline.h"
 
 namespace wqe::obs {
 
@@ -102,32 +103,17 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// \brief This span's context ({0,0} when the span is inert).
-  const common::TraceContext& context() const { return ctx_; }
+  /// \brief This span's trace position ({0,0} when the span is inert).
+  const common::TracePosition& context() const { return ctx_; }
 
  private:
   const char* stage_;
   Histogram* latency_;
   MetricsRegistry* registry_;
   bool active_ = false;
-  common::TraceContext ctx_;
-  common::TraceContext parent_;
+  common::TracePosition ctx_;
+  common::TracePosition parent_;
   std::chrono::steady_clock::time_point start_;
-};
-
-/// \brief RAII install/restore of a captured context — how a pool task
-/// runs under its submitter's trace (see serve::ThreadPool::Submit).
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(common::TraceContext ctx)
-      : prev_(common::ExchangeCurrentTraceContext(ctx)) {}
-  ~ScopedTraceContext() { common::ExchangeCurrentTraceContext(prev_); }
-
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-
- private:
-  common::TraceContext prev_;
 };
 
 }  // namespace wqe::obs

@@ -68,6 +68,8 @@ Server::Server(const api::Engine& engine, ServerOptions options)
       registry_->GetHistogram("wqe.server.expander_construction_ms", labels);
   instruments_.queue_depth =
       registry_->GetGauge("wqe.server.queue_depth", labels);
+  instruments_.queue_wait =
+      obs::MetricsRegistry::Global().GetHistogram("wqe.serve.queue_wait_ms");
   // The cache registers its own counters; default it into this server's
   // registry so one knob isolates the whole stack.
   if (options_.enable_cache) {
@@ -105,15 +107,15 @@ ServerSnapshot Server::StatsSnapshot() const {
   return snapshot;
 }
 
-Status Server::AdmitRequest(const common::ExecContext& exec) {
+Status Server::AdmitRequest(const common::RequestContext& ctx) {
   Status shed = Status::OK();
   const size_t depth = pool_.queue_depth();
   if (options_.max_queue_depth != 0 && depth >= options_.max_queue_depth) {
     shed = Status::ResourceExhausted("shed: queue depth ", depth,
                                      " at max_queue_depth ",
                                      options_.max_queue_depth);
-  } else if (!exec.deadline.is_infinite()) {
-    const double remaining_ms = exec.deadline.remaining_ms();
+  } else if (!ctx.deadline.is_infinite()) {
+    const double remaining_ms = ctx.deadline.remaining_ms();
     const double expected_wait_ms =
         queue_wait_ewma_ms_.load(std::memory_order_relaxed);
     if (remaining_ms <= 0.0) {
@@ -134,13 +136,30 @@ Status Server::AdmitRequest(const common::ExecContext& exec) {
   return shed;
 }
 
-void Server::NoteQueueWait(double wait_ms) {
+void Server::RecordQueueWait(std::chrono::steady_clock::time_point submitted) {
+  const double wait_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - submitted)
+                             .count();
   double old_ewma = queue_wait_ewma_ms_.load(std::memory_order_relaxed);
   double next;
   do {
     next = old_ewma == 0.0 ? wait_ms : 0.8 * old_ewma + 0.2 * wait_ms;
   } while (!queue_wait_ewma_ms_.compare_exchange_weak(
       old_ewma, next, std::memory_order_relaxed));
+  instruments_.queue_wait->Record(wait_ms);
+  // The task runs under the submitter's captured context, so the wait is
+  // a span of the submitting trace (a sibling of the `request` span that
+  // opens next).
+  const common::TracePosition& trace = common::CurrentRequestContext().trace;
+  if (!obs::Enabled() || !trace.active() || !trace.sampled) return;
+  obs::SpanRecord record;
+  record.trace_id = trace.trace_id;
+  record.span_id = obs::NewSpanId();
+  record.parent_span_id = trace.span_id;
+  record.stage = "queue-wait";
+  record.start_ms = obs::MillisSinceProcessStart(submitted);
+  record.duration_ms = wait_ms;
+  registry_->trace_log().Append(std::move(record));
 }
 
 void Server::AttributeFailure(const Status& status) {
@@ -250,45 +269,53 @@ Result<api::QueryResponse> Server::QueryOne(const api::QueryRequest& request) {
   return response;
 }
 
+template <typename Request>
+common::RequestContext Server::ContextFor(const Request& request) const {
+  return common::RequestContext::ForRequest(
+      request.deadline_ms > 0.0 ? request.deadline_ms
+                                : options_.default_deadline_ms,
+      request.cancel);
+}
+
 template <typename Response, typename Work>
-Result<Response> Server::ServeRequest(
-    const common::ExecContext& exec,
-    std::chrono::steady_clock::time_point submitted, Work&& work) {
-  NoteQueueWait(std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - submitted)
-                    .count());
-  common::ScopedExecContext exec_scope(exec);
-  obs::Span span("request", instruments_.request_latency, registry_);
-  Result<Response> result = work();
-  if (result.ok()) {
-    // Work that finished after its budget ran out is not a success: the
-    // caller has already given up, and honoring the deadline uniformly
-    // keeps outcomes deterministic for a given schedule.
-    Status interrupted = common::ExecStatus();
-    if (!interrupted.ok()) result = std::move(interrupted);
+std::future<Result<Response>> Server::Dispatch(common::RequestContext ctx,
+                                               Work work) {
+  if (Status admit = AdmitRequest(ctx); !admit.ok()) {
+    return ReadyFuture<Response>(std::move(admit));
   }
-  if (!result.ok()) {
-    instruments_.requests_failed->Inc();
-    AttributeFailure(result.status());
-  }
-  return result;
+  // The pool's one capture of the ambient context carries this request's
+  // trace position and budget into the task.
+  common::ScopedRequestContext scope(std::move(ctx));
+  const auto submitted = std::chrono::steady_clock::now();
+  return pool_.Submit([this, submitted, work = std::move(work)]() {
+    WQE_FAULT_DELAY("serve.pool_dispatch");
+    // The wait ends before the `request` span opens: queue wait and
+    // service are disjoint parts of a request's time.
+    RecordQueueWait(submitted);
+    obs::Span span("request", instruments_.request_latency, registry_);
+    Result<Response> result = work();
+    if (result.ok()) {
+      // Work that finished after its budget ran out is not a success: the
+      // caller has already given up, and honoring the deadline uniformly
+      // keeps outcomes deterministic for a given schedule.
+      Status interrupted = common::ExecStatus();
+      if (!interrupted.ok()) result = std::move(interrupted);
+    }
+    if (!result.ok()) {
+      instruments_.requests_failed->Inc();
+      AttributeFailure(result.status());
+    }
+    return result;
+  });
 }
 
 std::future<Result<api::QueryResponse>> Server::Submit(
     api::QueryRequest request) {
   instruments_.requests->Inc();
-  const common::ExecContext exec = common::ExecContext::ForRequest(
-      request.deadline_ms > 0.0 ? request.deadline_ms
-                                : options_.default_deadline_ms,
-      request.cancel);
-  if (Status admit = AdmitRequest(exec); !admit.ok()) {
-    return ReadyFuture<api::QueryResponse>(std::move(admit));
-  }
-  const auto submitted = std::chrono::steady_clock::now();
-  auto future =
-      pool_.Submit([this, exec, submitted, request = std::move(request)]() {
-        return ServeRequest<api::QueryResponse>(
-            exec, submitted, [&] { return QueryOne(request); });
+  common::RequestContext ctx = ContextFor(request);  // before the move
+  auto future = Dispatch<api::QueryResponse>(
+      std::move(ctx), [this, request = std::move(request)] {
+        return QueryOne(request);
       });
   instruments_.queue_depth->Set(static_cast<double>(pool_.queue_depth()));
   return future;
@@ -297,18 +324,10 @@ std::future<Result<api::QueryResponse>> Server::Submit(
 std::future<Result<api::ExpandResponse>> Server::SubmitExpand(
     api::ExpandRequest request) {
   instruments_.requests->Inc();
-  const common::ExecContext exec = common::ExecContext::ForRequest(
-      request.deadline_ms > 0.0 ? request.deadline_ms
-                                : options_.default_deadline_ms,
-      request.cancel);
-  if (Status admit = AdmitRequest(exec); !admit.ok()) {
-    return ReadyFuture<api::ExpandResponse>(std::move(admit));
-  }
-  const auto submitted = std::chrono::steady_clock::now();
-  auto future =
-      pool_.Submit([this, exec, submitted, request = std::move(request)]() {
-        return ServeRequest<api::ExpandResponse>(
-            exec, submitted, [&] { return ExpandOne(request); });
+  common::RequestContext ctx = ContextFor(request);  // before the move
+  auto future = Dispatch<api::ExpandResponse>(
+      std::move(ctx), [this, request = std::move(request)] {
+        return ExpandOne(request);
       });
   instruments_.queue_depth->Set(static_cast<double>(pool_.queue_depth()));
   return future;
@@ -317,9 +336,10 @@ std::future<Result<api::ExpandResponse>> Server::SubmitExpand(
 template <typename Request, typename Response, typename Run>
 Result<std::vector<Response>> Server::RunBatch(
     const std::vector<Request>& requests, const char* what, Run run) {
-  // Root span for the whole batch: the per-request `request` spans parent
-  // under it (their tasks run with this context re-installed by the
-  // pool), so one trace covers submit → queue-wait → stages → merge.
+  // Root span for the whole batch: the per-request `queue-wait` and
+  // `request` spans parent under it (their tasks run with this context
+  // re-installed by the pool), so one trace covers submit → queue-wait →
+  // stages → merge.
   obs::Span batch_span("batch", /*latency=*/nullptr, registry_);
   instruments_.batches->Inc();
   instruments_.requests->Inc(requests.size());
@@ -350,22 +370,11 @@ Result<std::vector<Response>> Server::RunBatch(
     // Admission is per batch item: a shed slot becomes an already-failed
     // future, so phase 3's lowest-failing-index semantics cover shed,
     // deadline and ordinary failures uniformly.
-    const common::ExecContext exec = common::ExecContext::ForRequest(
-        requests[i].deadline_ms > 0.0 ? requests[i].deadline_ms
-                                      : options_.default_deadline_ms,
-        requests[i].cancel);
-    if (Status admit = AdmitRequest(exec); !admit.ok()) {
-      futures.push_back(ReadyFuture<Response>(std::move(admit)));
-      continue;
-    }
-    const auto submitted = std::chrono::steady_clock::now();
-    futures.push_back(pool_.Submit([this, &run, &requests, &resolved,
-                                    &expanders, &snapshot, exec, submitted,
-                                    i]() {
-      return ServeRequest<Response>(exec, submitted, [&] {
-        return run(*snapshot, &expanders, resolved[i], requests[i]);
-      });
-    }));
+    futures.push_back(Dispatch<Response>(
+        ContextFor(requests[i]),
+        [this, &run, &requests, &resolved, &expanders, &snapshot, i] {
+          return run(*snapshot, &expanders, resolved[i], requests[i]);
+        }));
   }
   instruments_.queue_depth->Set(static_cast<double>(pool_.queue_depth()));
 

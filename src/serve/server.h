@@ -46,10 +46,10 @@
 ///
 /// One pool per server: expansions run *on* this server's workers, where
 /// `graph::CycleEnumerator` detects the worker context
-/// (`ThreadPool::CurrentWorkerPool`) and degrades to sequential — nested
-/// fan-out can neither deadlock on pool capacity nor spawn a transient
-/// pool per request, and request-level parallelism keeps the workers
-/// saturated.
+/// (`common::ThreadPool::CurrentWorkerPool`) and degrades to sequential —
+/// nested fan-out can neither deadlock on pool capacity nor spawn a
+/// transient pool per request, and request-level parallelism keeps the
+/// workers saturated.
 
 #include <atomic>
 #include <chrono>
@@ -64,10 +64,10 @@
 #include "common/deadline.h"
 #include "common/mutex.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/expansion_cache.h"
-#include "serve/thread_pool.h"
 
 namespace wqe::serve {
 
@@ -83,11 +83,11 @@ struct ServerOptions {
   /// null uses the process-global registry.  Must outlive the server.
   /// Propagated into `cache.registry` when that is unset, so pointing a
   /// server at a private registry isolates the whole stack — how the
-  /// serving bench gets clean per-configuration percentiles.  The
-  /// pool-level `wqe.serve.queue_wait_ms` histogram is the one exception:
-  /// pools are registry-agnostic, so queue waits always aggregate
-  /// globally (their spans still land in this server's trace log via the
-  /// submitter's context).
+  /// serving bench gets clean per-configuration percentiles.  The one
+  /// exception is the `wqe.serve.queue_wait_ms` histogram, which every
+  /// server records into the global registry, so queue waits aggregate
+  /// process-wide; the `queue-wait` spans, like every other server span,
+  /// land in this registry's trace log.
   obs::MetricsRegistry* registry = nullptr;
   /// Default per-request budget in milliseconds, applied to every
   /// request that does not carry its own `deadline_ms`; 0 (the default)
@@ -237,32 +237,41 @@ class Server {
     obs::Histogram* cache_lookup = nullptr;
     obs::Histogram* expander_construction = nullptr;
     obs::Gauge* queue_depth = nullptr;
+    obs::Histogram* queue_wait = nullptr;  ///< global, unlabeled
   };
 
   /// Admission decision for one request, made on the submitting thread
   /// *before* any task is queued: OK to admit, `ResourceExhausted` (with
   /// counters recorded) to shed.  See `ServerOptions::max_queue_depth`.
-  Status AdmitRequest(const common::ExecContext& exec);
+  Status AdmitRequest(const common::RequestContext& ctx);
 
-  /// Folds one observed enqueue→start gap into the queue-wait EWMA the
-  /// admission policy consults.
-  void NoteQueueWait(double wait_ms);
+  /// The one queue-wait measurement, taken on the worker when a task
+  /// starts: the gap since `submitted` feeds the EWMA the admission policy
+  /// consults, the global `wqe.serve.queue_wait_ms` histogram and — when
+  /// the submitter's trace is sampled — a `queue-wait` span under the
+  /// submitter's span, starting at `submitted`.
+  void RecordQueueWait(std::chrono::steady_clock::time_point submitted);
 
   /// Attributes a failed request's status to its obs stage counters
   /// (deadline/cancelled get their own stages and totals).
   void AttributeFailure(const Status& status);
 
-  /// Runs `work()` under a root `request` span (latency → the
-  /// `wqe.server.request_latency_ms` histogram), with `exec` installed
-  /// as the task's execution context, counting acceptance and failure.
-  /// The shared tail of every per-request pool task.  A result that
-  /// comes back OK after the budget ran out is demoted to the
-  /// interruption status: work finished past its deadline (or after a
-  /// cancel) must never be reported as success.
+  /// The context one request runs under: its own deadline (or the
+  /// server's default) and cancel token, merged with the caller's.
+  template <typename Request>
+  common::RequestContext ContextFor(const Request& request) const;
+
+  /// Admits one request under `ctx` and queues `work()` on the pool with
+  /// `ctx` installed, so the pool's capture carries it into the task; a
+  /// shed request gets an already-failed future.  On the worker the task
+  /// records its queue wait, then runs `work()` under a `request` span
+  /// (latency → the `wqe.server.request_latency_ms` histogram), counting
+  /// failures.  A result that comes back OK after the budget ran out is
+  /// demoted to the interruption status: work finished past its deadline
+  /// (or after a cancel) must never be reported as success.
   template <typename Response, typename Work>
-  Result<Response> ServeRequest(const common::ExecContext& exec,
-                                std::chrono::steady_clock::time_point submitted,
-                                Work&& work);
+  std::future<Result<Response>> Dispatch(common::RequestContext ctx,
+                                         Work work);
 
   /// Shared batch skeleton: prepare shared expanders (caller thread), fan
   /// out `run` per request (pool), collect in order, surface the first
@@ -279,7 +288,7 @@ class Server {
   /// EWMA (0.8 old / 0.2 new) of observed enqueue→start gaps in ms; the
   /// admission policy's estimate of what a new request would wait.
   std::atomic<double> queue_wait_ewma_ms_{0.0};
-  ThreadPool pool_;
+  common::ThreadPool pool_;
 };
 
 }  // namespace wqe::serve

@@ -1,13 +1,17 @@
 /// \file common_test.cc
 /// \brief Unit tests for the common substrate: Status/Result, RNG,
 /// string utilities, statistics, table printing, annotated mutexes,
-/// deadlines/cancellation, and the deterministic fault injector.
+/// deadlines/cancellation, the request context, the thread pool and its
+/// fan-out helpers, and the deterministic fault injector.  Runs under
+/// TSan in CI (see ci.sh): the pool and context tests cross threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,7 +27,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "serve/thread_pool.h"
+#include "common/thread_pool.h"
 
 namespace wqe {
 namespace {
@@ -558,75 +562,200 @@ TEST(CancelTokenTest, SourceCancelsItsTokens) {
   EXPECT_TRUE(source.token().cancelled());
 }
 
-TEST(ExecContextTest, DefaultIsInactiveAndCheapChecksPass) {
-  EXPECT_FALSE(common::CurrentExecContext().active());
+TEST(RequestContextTest, DefaultIsInactiveAndCheapChecksPass) {
+  EXPECT_FALSE(common::CurrentRequestContext().has_budget());
   EXPECT_FALSE(common::ExecInterrupted());
   EXPECT_TRUE(common::ExecStatus().ok());
 }
 
-TEST(ExecContextTest, ScopedInstallAndRestore) {
-  common::ExecContext ctx;
+TEST(RequestContextTest, ScopedInstallAndRestore) {
+  common::RequestContext ctx;
   ctx.deadline = common::Deadline::AfterMillis(60'000.0);
   {
-    common::ScopedExecContext scope(ctx);
-    EXPECT_TRUE(common::CurrentExecContext().active());
+    common::ScopedRequestContext scope(ctx);
+    EXPECT_TRUE(common::CurrentRequestContext().has_budget());
     EXPECT_FALSE(common::ExecInterrupted());
   }
-  EXPECT_FALSE(common::CurrentExecContext().active());
+  EXPECT_FALSE(common::CurrentRequestContext().has_budget());
 }
 
-TEST(ExecContextTest, ExpiredDeadlineSurfacesAsDeadlineExceeded) {
-  common::ExecContext ctx;
+TEST(RequestContextTest, ExpiredDeadlineSurfacesAsDeadlineExceeded) {
+  common::RequestContext ctx;
   ctx.deadline = common::Deadline::AfterMillis(0.0);
-  common::ScopedExecContext scope(ctx);
+  common::ScopedRequestContext scope(ctx);
   EXPECT_TRUE(common::ExecInterrupted());
   EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded());
 }
 
-TEST(ExecContextTest, CancelSurfacesAsCancelledAndWinsOverDeadline) {
+TEST(RequestContextTest, CancelSurfacesAsCancelledAndWinsOverDeadline) {
   common::CancelSource source;
-  common::ExecContext ctx;
+  common::RequestContext ctx;
   ctx.deadline = common::Deadline::AfterMillis(0.0);
   ctx.cancel = source.token();
-  common::ScopedExecContext scope(ctx);
+  common::ScopedRequestContext scope(ctx);
   EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded());  // not cancelled yet
   source.RequestCancel();
   EXPECT_TRUE(common::ExecInterrupted());
   EXPECT_TRUE(common::ExecStatus().IsCancelled());
 }
 
-TEST(ExecContextTest, MergePrefersTighterDeadlineAndRequestToken) {
+TEST(RequestContextTest, MergePrefersTighterDeadlineAndRequestToken) {
   common::CancelSource ambient_source;
   common::CancelSource request_source;
-  common::ExecContext ambient;
+  common::RequestContext ambient;
   ambient.deadline = common::Deadline::AfterMillis(0.0);  // tighter
   ambient.cancel = ambient_source.token();
-  common::ExecContext request;
+  common::RequestContext request;
   request.deadline = common::Deadline::AfterMillis(60'000.0);
   request.cancel = request_source.token();
-  common::ExecContext merged = common::ExecContext::Merge(ambient, request);
+  common::RequestContext merged =
+      common::RequestContext::Merge(ambient, request);
   EXPECT_TRUE(merged.deadline.expired());  // ambient's tighter deadline won
   request_source.RequestCancel();
   EXPECT_TRUE(merged.cancel.cancelled());  // request's token won
   // With no request token, the ambient token is inherited.
-  common::ExecContext bare_request;
-  common::ExecContext inherited =
-      common::ExecContext::Merge(ambient, bare_request);
+  common::RequestContext bare_request;
+  common::RequestContext inherited =
+      common::RequestContext::Merge(ambient, bare_request);
   ambient_source.RequestCancel();
   EXPECT_TRUE(inherited.cancel.cancelled());
 }
 
-TEST(ExecContextTest, PropagatesAcrossPoolSubmit) {
-  common::ExecContext ctx;
+TEST(RequestContextTest, PropagatesAcrossPoolSubmit) {
+  common::RequestContext ctx;
   ctx.deadline = common::Deadline::AfterMillis(0.0);
-  common::ScopedExecContext scope(ctx);
-  serve::ThreadPool pool(1);
+  common::ScopedRequestContext scope(ctx);
+  common::ThreadPool pool(1);
   // The worker thread has no context of its own; Submit must carry the
   // submitter's budget across the hop.
   EXPECT_TRUE(
       pool.Submit([] { return common::ExecStatus().IsDeadlineExceeded(); })
           .get());
 }
+
+TEST(RequestContextTest, OneCaptureCarriesTraceAndBudgetTogether) {
+  common::CancelSource source;
+  common::RequestContext ctx;
+  ctx.trace.trace_id = 7;
+  ctx.trace.span_id = 11;
+  ctx.trace.sampled = true;
+  ctx.cancel = source.token();
+  common::ThreadPool pool(1);
+  std::future<common::RequestContext> seen;
+  {
+    common::ScopedRequestContext scope(ctx);
+    seen = pool.Submit([] { return common::CurrentRequestContext(); });
+  }
+  const common::RequestContext inside = seen.get();
+  EXPECT_EQ(inside.trace.trace_id, 7u);
+  EXPECT_EQ(inside.trace.span_id, 11u);
+  EXPECT_TRUE(inside.trace.sampled);
+  source.RequestCancel();
+  EXPECT_TRUE(inside.cancel.cancelled());
+  // The task's context was uninstalled when it finished: the worker is
+  // back to no trace and no budget.
+  const common::RequestContext after =
+      pool.Submit([] { return common::CurrentRequestContext(); }).get();
+  EXPECT_FALSE(after.trace.active());
+  EXPECT_FALSE(after.has_budget());
+}
+
+TEST(RequestContextTest, ForRequestKeepsTheCallersTrace) {
+  common::RequestContext ambient;
+  ambient.trace.trace_id = 3;
+  ambient.trace.span_id = 5;
+  common::ScopedRequestContext scope(ambient);
+  const common::RequestContext request =
+      common::RequestContext::ForRequest(60'000.0, common::CancelToken());
+  EXPECT_EQ(request.trace.trace_id, 3u);
+  EXPECT_EQ(request.trace.span_id, 5u);
+  EXPECT_FALSE(request.deadline.is_infinite());
+}
+
+// ------------------------------------------------------------ ThreadPool
+
+TEST(ThreadPoolTest, ExecutesTasksAndReturnsFutures) {
+  common::ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  std::vector<std::future<int>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(pool.Submit([i] { return i * i; }));
+  }
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(futures[i].get(), i * i);
+  }
+  // The counter increments after the future is fulfilled, so only a full
+  // drain makes it final — don't assert it right after get().
+  pool.Shutdown();
+  EXPECT_EQ(pool.tasks_executed(), 32u);
+}
+
+TEST(ThreadPoolTest, ManyConcurrentIncrements) {
+  common::ThreadPool pool(4);
+  std::atomic<int> counter{0};
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 500; ++i) {
+    futures.push_back(pool.Submit([&counter] { ++counter; }));
+  }
+  for (auto& future : futures) future.get();
+  EXPECT_EQ(counter.load(), 500);
+}
+
+TEST(ThreadPoolTest, ShutdownDrainsQueuedTasksAndIsIdempotent) {
+  std::atomic<int> executed{0};
+  {
+    common::ThreadPool pool(1);
+    for (int i = 0; i < 20; ++i) {
+      // The single worker serializes these; most are still queued when
+      // Shutdown begins and must run before it returns.
+      pool.Submit([&executed] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ++executed;
+      });
+    }
+    pool.Shutdown();
+    EXPECT_EQ(executed.load(), 20);
+    pool.Shutdown();  // idempotent
+  }  // destructor after explicit Shutdown is a no-op
+  EXPECT_EQ(executed.load(), 20);
+}
+
+TEST(ThreadPoolTest, ZeroThreadsMeansHardwareConcurrency) {
+  common::ThreadPool pool;
+  EXPECT_GE(pool.num_threads(), 1u);
+  EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
+}
+
+#ifndef NDEBUG
+// The annotated join contract (`Shutdown` is WQE_EXCLUDES and must be
+// driven from outside the pool): a worker shutting down its own pool
+// would join itself and hang forever, so Debug builds abort instead.
+// Live only where WQE_DCHECK is compiled in — the CI tsan/asan lanes.
+TEST(ThreadPoolDeathTest, ShutdownFromWorkerAssertsInDebug) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        common::ThreadPool pool(1);
+        pool.Submit([&pool] { pool.Shutdown(); }).get();
+      },
+      "OnWorkerThread");
+}
+
+// Same contract one layer up: RunParallel blocks on futures of tasks it
+// just queued, so calling it *from* a worker of the same pool deadlocks
+// a bounded pool.  EffectiveParallelism degrades worker callers to
+// sequential; bypassing it trips the debug check.
+TEST(ThreadPoolDeathTest, RunParallelFromOwnWorkerAssertsInDebug) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        common::ThreadPool pool(1);
+        pool.Submit([&pool] { common::RunParallel(&pool, 1, [] {}); }).get();
+      },
+      "OnWorkerThread");
+}
+#endif  // NDEBUG
+
 
 // ---------------------------------------------------- Fault injection
 

@@ -14,6 +14,7 @@
 #include "common/deadline.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/ball_prune.h"
 #include "graph/cycle_metrics.h"
 #include "graph/csr.h"
@@ -21,7 +22,6 @@
 #include "graph/graph.h"
 #include "graph/undirected_view.h"
 #include "obs/metrics.h"
-#include "serve/thread_pool.h"
 #include "wiki/knowledge_base.h"
 
 namespace wqe::graph {
@@ -860,9 +860,9 @@ TEST(DeadlineCycleTest, ExpiredDeadlineEmitsNothingAtEveryThreadCount) {
   CycleEnumerator e(view);
   ASSERT_FALSE(e.Enumerate({}).empty());  // the graph does have cycles
 
-  common::ExecContext ctx;
+  common::RequestContext ctx;
   ctx.deadline = common::Deadline::AfterMillis(0.0);
-  common::ScopedExecContext scope(ctx);
+  common::ScopedRequestContext scope(ctx);
   for (uint32_t workers : {1u, 2u, 4u}) {
     CycleEnumerationOptions options;
     options.num_threads = workers;
@@ -895,9 +895,9 @@ TEST(DeadlineCycleTest, DeadlineBetweenChunksKeepsCompletedPrefix) {
   common::FaultInjector::Global().Configure(
       /*seed=*/5, {{"graph.enumeration_chunk", delay}});
   for (uint32_t workers : {2u, 4u}) {
-    common::ExecContext ctx;
+    common::RequestContext ctx;
     ctx.deadline = common::Deadline::AfterMillis(2.0);
-    common::ScopedExecContext scope(ctx);
+    common::ScopedRequestContext scope(ctx);
     CycleEnumerationOptions options;
     options.num_threads = workers;
     options.parallel_chunk_starts = 1;
@@ -934,9 +934,9 @@ TEST(DeadlineCycleTest, CancelMidRunPreservesPrefixIdentity) {
   for (uint32_t workers : {1u, 2u, 4u}) {
     for (int delay_us : {0, 50, 200, 1000}) {
       common::CancelSource source;
-      common::ExecContext ctx;
+      common::RequestContext ctx;
       ctx.cancel = source.token();
-      common::ScopedExecContext scope(ctx);
+      common::ScopedRequestContext scope(ctx);
       std::thread canceller([&source, delay_us] {
         std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
         source.RequestCancel();
@@ -969,7 +969,7 @@ TEST(DeadlineCycleTest, NoDeadlineNoTokenIsBitIdenticalToBefore) {
   CsrGraph csr = CsrGraph::Freeze(g);
   UndirectedView view(csr);
   CycleEnumerator e(view);
-  ASSERT_FALSE(common::CurrentExecContext().active());
+  ASSERT_FALSE(common::CurrentRequestContext().has_budget());
   const std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate({}));
   for (uint32_t workers : {2u, 4u}) {
     CycleEnumerationOptions parallel;
@@ -986,7 +986,7 @@ TEST(ParallelCycleTest, ExternalPoolAndAutoThreadsWork) {
   CycleEnumerator e(view);
   std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate({}));
 
-  serve::ThreadPool pool(3);
+  common::ThreadPool pool(3);
   CycleEnumerationOptions on_pool;
   on_pool.num_threads = 0;  // auto: pool workers + caller
   on_pool.pool = &pool;
@@ -1006,16 +1006,16 @@ TEST(ParallelCycleTest, NestedEnumerationFromPoolWorkerDegrades) {
   CycleEnumerator e(view);
   std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate({}));
 
-  serve::ThreadPool pool(1);  // capacity 1: any nested blocking deadlocks
+  common::ThreadPool pool(1);  // capacity 1: any nested blocking deadlocks
   auto future = pool.Submit([&] {
-    EXPECT_NE(serve::ThreadPool::CurrentWorkerPool(), nullptr);
+    EXPECT_NE(common::ThreadPool::CurrentWorkerPool(), nullptr);
     CycleEnumerationOptions nested;
     nested.num_threads = 4;
     nested.pool = &pool;  // same pool: the deadlock shape
     return CycleNodes(e.Enumerate(nested));
   });
   EXPECT_EQ(want, future.get());
-  EXPECT_EQ(serve::ThreadPool::CurrentWorkerPool(), nullptr);
+  EXPECT_EQ(common::ThreadPool::CurrentWorkerPool(), nullptr);
 }
 
 TEST(ParallelCycleTest, TsanStressSkewedKnowledgeBase) {
@@ -1051,7 +1051,7 @@ TEST(ParallelCycleTest, TsanStressSkewedKnowledgeBase) {
   sequential.max_length = 4;  // keep the TSan (≈10×) runtime in check
   std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate(sequential));
 
-  serve::ThreadPool pool(4);
+  common::ThreadPool pool(4);
   std::vector<std::future<std::vector<std::vector<NodeId>>>> degraded;
   for (int i = 0; i < 4; ++i) {
     degraded.push_back(pool.Submit([&] {

@@ -3,7 +3,7 @@
 /// log-linear histogram percentile accuracy against the exact
 /// `wqe::PercentileSorted`, snapshot deltas, the registry's get-or-create
 /// and exporter contracts, span parent/stage propagation across a
-/// `serve::ThreadPool` task, the trace-log ring, concurrent multi-writer
+/// `common::ThreadPool` task, the trace-log ring, concurrent multi-writer
 /// totals, and the runtime kill switch.  Runs under TSan in CI alongside
 /// the serve suites (see ci.sh).
 
@@ -16,12 +16,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/trace.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/thread_pool.h"
 
 namespace wqe::obs {
 namespace {
@@ -257,15 +257,17 @@ TEST(TraceTest, NestedSpansShareTraceAndChainParents) {
   {
     Span root("request", nullptr, &registry);
     EXPECT_TRUE(root.context().active());
-    EXPECT_EQ(common::CurrentTraceContext().span_id, root.context().span_id);
+    EXPECT_EQ(common::CurrentRequestContext().trace.span_id,
+              root.context().span_id);
     {
       Span stage("expansion", nullptr, &registry);
       EXPECT_EQ(stage.context().trace_id, root.context().trace_id);
     }
     // Closing the child restores the parent as the ambient context.
-    EXPECT_EQ(common::CurrentTraceContext().span_id, root.context().span_id);
+    EXPECT_EQ(common::CurrentRequestContext().trace.span_id,
+              root.context().span_id);
   }
-  EXPECT_FALSE(common::CurrentTraceContext().active());
+  EXPECT_FALSE(common::CurrentRequestContext().trace.active());
   std::vector<SpanRecord> records = registry.trace_log().Snapshot();
   ASSERT_EQ(records.size(), 2u);  // children close (and land) first
   EXPECT_EQ(records[0].stage, "expansion");
@@ -287,7 +289,7 @@ TEST(TraceTest, ContextPropagatesAcrossPoolTask) {
     Span root("request", nullptr, &registry);
     root_trace = root.context().trace_id;
     root_span = root.context().span_id;
-    serve::ThreadPool pool(1);
+    common::ThreadPool pool(1);
     pool.Submit([&registry] {
           Span stage("expansion", nullptr, &registry);
         })
@@ -301,17 +303,31 @@ TEST(TraceTest, ContextPropagatesAcrossPoolTask) {
   EXPECT_EQ(records[0].stage, "expansion");
   EXPECT_EQ(records[0].trace_id, root_trace);
   EXPECT_EQ(records[0].parent_span_id, root_span);
-  // The pool recorded the enqueue→dequeue gap as the trace's own
-  // queue-wait span (pools are registry-agnostic: it lands globally).
-  bool queue_wait_seen = false;
-  for (const SpanRecord& record :
-       MetricsRegistry::Global().trace_log().Snapshot()) {
-    if (record.stage == "queue-wait" && record.trace_id == root_trace &&
-        record.parent_span_id == root_span) {
-      queue_wait_seen = true;
-    }
+  // The pool itself records nothing: `serve::Server` records the
+  // `queue-wait` span (serve_test.cc checks it).
+}
+
+TEST(TraceTest, SpanMovesOnlyTheTracePosition) {
+  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  SetEnabled(true);
+  MetricsRegistry registry;
+  common::CancelSource source;
+  common::RequestContext budget;
+  budget.deadline = common::Deadline::AfterMillis(60'000.0);
+  budget.cancel = source.token();
+  common::ScopedRequestContext scope(budget);
+  {
+    Span span("request", nullptr, &registry);
+    const common::RequestContext& inside = common::CurrentRequestContext();
+    EXPECT_EQ(inside.trace.span_id, span.context().span_id);
+    EXPECT_TRUE(inside.has_budget());
+    source.RequestCancel();
+    EXPECT_TRUE(common::ExecStatus().IsCancelled());
   }
-  EXPECT_TRUE(queue_wait_seen);
+  // Closing the span restored the trace position and kept the budget.
+  EXPECT_FALSE(common::CurrentRequestContext().trace.active());
+  EXPECT_TRUE(common::CurrentRequestContext().has_budget());
+  EXPECT_TRUE(common::ExecStatus().IsCancelled());
 }
 
 TEST(TraceTest, HeadSamplingKeepsWholeTracesTogether) {
@@ -351,7 +367,7 @@ TEST(KillSwitchTest, RuntimeDisableStopsHistogramsAndSpans) {
   {
     Span span("request", histogram, &registry);
     EXPECT_FALSE(span.context().active());  // inert: no trace started
-    EXPECT_FALSE(common::CurrentTraceContext().active());
+    EXPECT_FALSE(common::CurrentRequestContext().trace.active());
   }
   SetEnabled(true);
   EXPECT_EQ(histogram->count(), 0u);  // histograms and spans went dark...

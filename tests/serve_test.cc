@@ -1,11 +1,12 @@
 /// \file serve_test.cc
-/// \brief Tests for the `serve::` concurrency subsystem: the thread pool,
-/// the sharded expansion cache (keying, LRU, TTL, counters), and the
-/// Server's parallel serving — including the determinism contract
-/// (parallel rankings bit-identical to sequential) and a mixed
+/// \brief Tests for the `serve::` concurrency subsystem: the sharded
+/// expansion cache (keying, LRU, TTL, counters), and the Server's parallel
+/// serving — including the determinism contract (parallel rankings
+/// bit-identical to sequential), its queue-wait accounting, and a mixed
 /// multi-threaded stress case meant to run under ThreadSanitizer
 /// (`ci.sh` / the CI `tsan` job build this suite with
-/// `-fsanitize=thread`).
+/// `-fsanitize=thread`).  The thread pool's own tests are in
+/// common_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -19,96 +20,12 @@
 #include "common/deadline.h"
 #include "common/fault_injection.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/expansion_cache.h"
 #include "serve/server.h"
-#include "serve/thread_pool.h"
 
 namespace wqe::serve {
 namespace {
-
-// ------------------------------------------------------------ ThreadPool
-
-TEST(ThreadPoolTest, ExecutesTasksAndReturnsFutures) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3u);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(futures[i].get(), i * i);
-  }
-  // The counter increments after the future is fulfilled, so only a full
-  // drain makes it final — don't assert it right after get().
-  pool.Shutdown();
-  EXPECT_EQ(pool.tasks_executed(), 32u);
-}
-
-TEST(ThreadPoolTest, ManyConcurrentIncrements) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(counter.load(), 500);
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsQueuedTasksAndIsIdempotent) {
-  std::atomic<int> executed{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      // The single worker serializes these; most are still queued when
-      // Shutdown begins and must run before it returns.
-      pool.Submit([&executed] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ++executed;
-      });
-    }
-    pool.Shutdown();
-    EXPECT_EQ(executed.load(), 20);
-    pool.Shutdown();  // idempotent
-  }  // destructor after explicit Shutdown is a no-op
-  EXPECT_EQ(executed.load(), 20);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsMeansHardwareConcurrency) {
-  ThreadPool pool;
-  EXPECT_GE(pool.num_threads(), 1u);
-  EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
-}
-
-#ifndef NDEBUG
-// The annotated join contract (`Shutdown` is WQE_EXCLUDES and must be
-// driven from outside the pool): a worker shutting down its own pool
-// would join itself and hang forever, so Debug builds abort instead.
-// Live only where WQE_DCHECK is compiled in — the CI tsan/asan lanes.
-TEST(ThreadPoolDeathTest, ShutdownFromWorkerAssertsInDebug) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(1);
-        pool.Submit([&pool] { pool.Shutdown(); }).get();
-      },
-      "OnWorkerThread");
-}
-
-// Same contract one layer up: RunParallel blocks on futures of tasks it
-// just queued, so calling it *from* a worker of the same pool deadlocks
-// a bounded pool.  EffectiveParallelism degrades worker callers to
-// sequential; bypassing it trips the debug check.
-TEST(ThreadPoolDeathTest, RunParallelFromOwnWorkerAssertsInDebug) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(1);
-        pool.Submit([&pool] { RunParallel(&pool, 1, [] {}); }).get();
-      },
-      "OnWorkerThread");
-}
-#endif  // NDEBUG
 
 // ------------------------------------------------------- ExpansionCache
 
@@ -732,6 +649,120 @@ TEST(ServerTest, CancelTokenFailsRequestAsCancelled) {
   Result<api::QueryResponse> result = server.Submit(request).get();
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCancelled()) << result.status();
+}
+
+/// Count of the process-wide queue-wait histogram every server records.
+uint64_t GlobalQueueWaitCount() {
+  return obs::MetricsRegistry::Global()
+      .GetHistogram("wqe.serve.queue_wait_ms")
+      ->count();
+}
+
+// The serving benchmark reads `wqe.serve.queue_wait_ms` from the global
+// registry and requires one record per request it sent, even when the
+// server records everything else into a private registry.  So every
+// served request — single, expand or batch item — adds exactly one
+// record, and a request shed at admission (never queued) adds none.
+TEST(ServerTest, QueueWaitHistogramCountsEachServedRequestOnce) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const api::Testbed& bed = SmallBed();
+  obs::MetricsRegistry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  options.num_threads = 2;
+  Server server(bed.engine(), options);
+
+  uint64_t before = GlobalQueueWaitCount();
+  api::QueryRequest query;
+  query.keywords = bed.topic(0).keywords;
+  ASSERT_TRUE(server.Submit(query).get().ok());
+  EXPECT_EQ(GlobalQueueWaitCount() - before, 1u);
+
+  before = GlobalQueueWaitCount();
+  api::ExpandRequest expand;
+  expand.keywords = bed.topic(1).keywords;
+  ASSERT_TRUE(server.SubmitExpand(expand).get().ok());
+  EXPECT_EQ(GlobalQueueWaitCount() - before, 1u);
+
+  before = GlobalQueueWaitCount();
+  const std::vector<api::QueryRequest> batch = MixedRequests(7);
+  ASSERT_TRUE(server.QueryBatch(batch).ok());
+  EXPECT_EQ(GlobalQueueWaitCount() - before, batch.size());
+
+  // Shed at admission: the budget is spent before the server looks.
+  before = GlobalQueueWaitCount();
+  api::QueryRequest expired = query;
+  expired.deadline_ms = 1e-6;
+  EXPECT_TRUE(server.Submit(expired).get().status().IsResourceExhausted());
+  std::vector<api::QueryRequest> mixed(3, query);
+  mixed[1].deadline_ms = 1e-6;
+  EXPECT_TRUE(server.QueryBatch(mixed).status().IsResourceExhausted());
+  EXPECT_EQ(GlobalQueueWaitCount() - before, 2u);  // the two admitted
+  EXPECT_EQ(server.stats().shed, 2u);
+}
+
+// The queue wait is one span of the submitting trace: parented under the
+// submitter's open span, starting at submission, recorded in the server's
+// trace log, and closed before the `request` span that serves it opens.
+TEST(ServerTest, QueueWaitSpanParentsUnderSubmitterAndPrecedesRequest) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const api::Testbed& bed = SmallBed();
+  const uint32_t sample_every = obs::GetTraceSampleEvery();
+  obs::SetTraceSampleEvery(1);
+  obs::MetricsRegistry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  options.num_threads = 1;
+  Server server(bed.engine(), options);
+
+  uint64_t root_trace = 0;
+  uint64_t root_span = 0;
+  {
+    obs::Span root("client", nullptr, &registry);
+    root_trace = root.context().trace_id;
+    root_span = root.context().span_id;
+    api::QueryRequest request;
+    request.keywords = bed.topic(0).keywords;
+    EXPECT_TRUE(server.Submit(request).get().ok());
+  }
+  // A batch is its own trace root: each item's wait parents under it.
+  EXPECT_TRUE(server.QueryBatch(MixedRequests(3)).ok());
+  obs::SetTraceSampleEvery(sample_every);
+
+  const obs::SpanRecord* queue_wait = nullptr;
+  const obs::SpanRecord* served = nullptr;
+  const std::vector<obs::SpanRecord> records = registry.trace_log().Snapshot();
+  for (const obs::SpanRecord& record : records) {
+    if (record.trace_id != root_trace || record.parent_span_id != root_span) {
+      continue;
+    }
+    if (record.stage == "queue-wait") queue_wait = &record;
+    if (record.stage == "request") served = &record;
+  }
+  ASSERT_NE(queue_wait, nullptr);
+  ASSERT_NE(served, nullptr);
+  EXPECT_GE(queue_wait->duration_ms, 0.0);
+  EXPECT_LE(queue_wait->start_ms + queue_wait->duration_ms,
+            served->start_ms + 1e-6);
+  const obs::SpanRecord* batch = nullptr;
+  for (const obs::SpanRecord& record : records) {
+    if (record.stage == "batch") batch = &record;
+  }
+  ASSERT_NE(batch, nullptr);
+  size_t batch_waits = 0;
+  for (const obs::SpanRecord& record : records) {
+    if (record.stage == "queue-wait" && record.trace_id == batch->trace_id &&
+        record.parent_span_id == batch->span_id) {
+      ++batch_waits;
+    }
+  }
+  EXPECT_EQ(batch_waits, 3u);
+  // Not also in the global log: the server's spans follow its registry.
+  for (const obs::SpanRecord& record :
+       obs::MetricsRegistry::Global().trace_log().Snapshot()) {
+    EXPECT_FALSE(record.trace_id == root_trace &&
+                 record.stage == "queue-wait");
+  }
 }
 
 #ifndef NDEBUG
